@@ -215,7 +215,6 @@ def _measure(mode: str, quick: bool) -> dict:
         "REPRO_SIM_STACK",
         "REPRO_CACHE",
         "REPRO_CACHE_DIR",
-        "REPRO_JOURNAL",
         "REPRO_RESUME",
         "REPRO_FAULTS",
         "REPRO_PRECOMPUTE",

@@ -21,7 +21,10 @@ cells out over a process pool and cache results on disk under
 ``--cache-dir`` (default ``.repro-cache``; ``--no-cache`` disables).
 ``--jobs 1`` — the default — is the serial debugging fallback; results
 are bit-identical either way. ``--telemetry`` prints the engine's cache
-and timing counters to stderr afterwards.
+and timing counters to stderr afterwards. Each engine flag has a
+``REPRO_*`` twin that accepts the same forms (``--jobs``/``REPRO_JOBS``,
+``--no-cache``/``REPRO_CACHE=0``, ...); a flag beats its env var, which
+beats the default (``repro.harness.exec.ENGINE_SETTINGS``).
 
 Parallel runs schedule through a work-stealing supervisor by default:
 ``--sched steal`` (or ``REPRO_SCHED``) dispatches chunks of
@@ -70,15 +73,13 @@ import sys
 from pathlib import Path
 
 from repro.errors import CampaignInterrupted, ConfigurationError
-from repro.harness.exec import SCHEDULERS, ExecutionEngine, ResultCache
-from repro.harness.store import (
-    PRECOMPUTE_ENV,
-    STORE_DIR_ENV,
-    PrecomputeStore,
-    precompute_from_env,
+from repro.harness.exec import (
+    ENGINE_SETTINGS,
+    SCHEDULERS,
+    ExecutionEngine,
+    engine_from_env,
 )
-from repro.harness.faults import faults_from_env
-from repro.harness.journal import RunJournal, batching_from_env
+from repro.harness.store import PRECOMPUTE_ENV
 from repro.harness.experiment import run_mix
 from repro.harness.profiling import PROFILE_DIR_ENV, PROFILE_ENV
 from repro.harness.figures import figure_group
@@ -100,12 +101,9 @@ from repro.obs.metrics import export_metrics
 from repro.obs.summarize import render_summary, summarize_trace
 
 
-def _jobs_count(text: str) -> int:
-    """``--jobs`` value: >= 1 workers, or 0 meaning one per CPU."""
-    jobs = int(text)
-    if jobs < 0:
-        raise argparse.ArgumentTypeError("must be >= 0 (0 = one per CPU)")
-    return jobs if jobs else (os.cpu_count() or 1)
+#: Cache directory when neither ``--cache-dir`` nor ``REPRO_CACHE_DIR``
+#: names one.
+DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,17 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=_jobs_count,
-        default=1,
         help=(
             "worker processes for simulation cells "
-            "(default: 1 = serial; 0 = one per CPU)"
+            "(default: 1 = serial; 0 = one per CPU; also: REPRO_JOBS)"
         ),
     )
     parser.add_argument(
         "--sched",
-        choices=SCHEDULERS,
-        default=None,
+        dest="scheduler",
+        metavar="{" + ",".join(SCHEDULERS) + "}",
         help=(
             "campaign scheduler: steal = per-worker deques with "
             "work stealing (default), fifo = legacy per-cell global "
@@ -140,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--batch-cells",
-        type=int,
-        default=None,
         metavar="N",
         help=(
             "cells per dispatched chunk under the steal scheduler "
@@ -151,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--stack-lanes",
-        type=int,
-        default=None,
         metavar="K",
         help=(
             "lane-stacked multi-cell execution: run batch-compatible "
@@ -163,20 +155,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir",
-        default=".repro-cache",
-        help="on-disk result cache directory (default: .repro-cache)",
+        help=(
+            f"on-disk result cache directory (default: {DEFAULT_CACHE_DIR}; "
+            "also: REPRO_CACHE_DIR)"
+        ),
     )
     parser.add_argument(
         "--no-cache",
-        action="store_true",
+        dest="cache",
+        action="store_false",
+        default=None,
         help=(
-            "disable the on-disk result cache (the precompute store "
-            "stays on — use --no-precompute-store to disable it too)"
+            "disable the on-disk result cache and its journal (the "
+            "precompute store stays on — use --no-precompute-store to "
+            "disable it too; also: REPRO_CACHE=0)"
         ),
     )
     parser.add_argument(
         "--no-precompute-store",
-        action="store_true",
+        dest="precompute",
+        action="store_false",
+        default=None,
         help=(
             "disable the cross-cell precompute store and rebuild every "
             "workload trace / rate table per cell (legacy path; also: "
@@ -223,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume",
         action="store_true",
+        default=None,
         help=(
             "replay cells journaled by a previous (possibly interrupted) "
             "run instead of re-simulating them (also: REPRO_RESUME=1)"
@@ -230,25 +230,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--retries",
-        type=int,
-        default=1,
-        help="retry budget per failed/crashed/hung cell (default: 1)",
+        help=(
+            "retry budget per failed/crashed/hung cell (default: 1; "
+            "also: REPRO_RETRIES)"
+        ),
     )
     parser.add_argument(
         "--timeout",
-        type=float,
-        default=None,
         metavar="SECONDS",
         help=(
             "per-cell deadline; a parallel worker past it is killed and "
-            "respawned (default: none). With heartbeats on it bounds "
-            "inactivity: progress-carrying beats extend it"
+            "respawned (default: none; 0 = none; also: REPRO_TIMEOUT). "
+            "With heartbeats on it bounds inactivity: progress-carrying "
+            "beats extend it"
         ),
     )
     parser.add_argument(
         "--heartbeat",
-        type=float,
-        default=None,
         metavar="SECONDS",
         help=(
             "worker liveness heartbeat interval; lets the supervisor "
@@ -339,127 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
 def build_engine(args: argparse.Namespace) -> ExecutionEngine:
     """The execution engine requested on the command line.
 
-    The crash-recovery journal rides with the cache directory
-    (``<cache-dir>/journal.jsonl``); ``--no-cache`` disables both.
-    ``REPRO_RESUME=1`` and ``REPRO_FAULTS`` are honored alongside the
-    flags so chaos/recovery behavior can be driven from the environment.
-
-    The precompute store (``docs/performance.md``) lives at
-    ``<cache-dir>/store`` (or ``REPRO_STORE_DIR``) and is *independent*
-    of the result cache: ``--no-cache`` re-simulates every cell but
-    still shares workload traces and rate tables across them, while
-    ``--no-precompute-store`` / ``REPRO_PRECOMPUTE=off`` forces the
-    legacy rebuild-per-cell path. Passing ``--no-precompute-store``
-    while the environment explicitly enables the store is rejected as a
-    conflict.
+    Every flag whose ``dest`` names an engine setting goes to
+    :func:`~repro.harness.exec.engine_from_env` as given (``None`` when
+    absent), which parses it like its ``REPRO_*`` env var and resolves
+    flag > env > default, the cache defaulting to ``.repro-cache``.
     """
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if args.no_cache:
-        journal = None
-    else:
-        batch_entries, linger_seconds = batching_from_env()
-        journal = RunJournal(
-            Path(args.cache_dir) / "journal.jsonl",
-            batch_entries=batch_entries,
-            linger_seconds=linger_seconds,
-        )
-    store = None
-    raw_precompute = os.environ.get(PRECOMPUTE_ENV, "").strip().lower()
-    if args.no_precompute_store:
-        if raw_precompute and precompute_from_env():
-            raise ConfigurationError(
-                f"--no-precompute-store conflicts with "
-                f"{PRECOMPUTE_ENV}={os.environ.get(PRECOMPUTE_ENV)!r}; "
-                "accepted: drop the flag, or set "
-                f"{PRECOMPUTE_ENV}=off (or unset it)"
-            )
-        # Through the environment so cells — serial or in workers — take
-        # the legacy build path even if REPRO_STORE_DIR is set.
-        os.environ[PRECOMPUTE_ENV] = "off"
-    elif precompute_from_env():
-        store_dir = os.environ.get(STORE_DIR_ENV) or (
-            Path(args.cache_dir) / "store"
-        )
-        store = PrecomputeStore(store_dir)
-    resume = args.resume or os.environ.get("REPRO_RESUME", "") in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-    scheduler = args.sched or (
-        os.environ.get("REPRO_SCHED", "").strip().lower() or "steal"
-    )
-    if scheduler not in SCHEDULERS:
-        raise ConfigurationError(
-            f"REPRO_SCHED={scheduler!r} is not a scheduler; accepted: "
-            + ", ".join(SCHEDULERS)
-        )
-    batch_cells = args.batch_cells
-    if batch_cells is None:
-        raw_batch = os.environ.get("REPRO_BATCH_CELLS", "").strip()
-        if raw_batch:
-            try:
-                batch_cells = int(raw_batch)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_BATCH_CELLS={raw_batch!r} is not an integer; "
-                    "accepted: a non-negative integer (0 = auto)"
-                )
-    if batch_cells is not None and batch_cells < 0:
-        raise ConfigurationError(
-            "batch-cells must be >= 0 (0 = auto per batch group)"
-        )
-    stack_lanes = args.stack_lanes
-    if stack_lanes is None:
-        raw_stack = os.environ.get("REPRO_SIM_STACK", "").strip()
-        if raw_stack:
-            try:
-                stack_lanes = int(raw_stack)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_SIM_STACK={raw_stack!r} is not an integer; "
-                    "accepted: a non-negative integer (0 = auto lanes, "
-                    "K = lane cap; unset = stacking off)"
-                )
-    if stack_lanes is not None and stack_lanes < 0:
-        raise ConfigurationError(
-            "stack-lanes must be >= 0 (0 = auto lane count)"
-        )
     progress = (
         (lambda line: print(line, file=sys.stderr)) if args.telemetry else None
     )
-    heartbeat = args.heartbeat
-    if heartbeat is None:
-        raw_heartbeat = os.environ.get("REPRO_HEARTBEAT", "").strip()
-        if raw_heartbeat:
-            try:
-                heartbeat = float(raw_heartbeat)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_HEARTBEAT={raw_heartbeat!r} is not a number; "
-                    "accepted: a non-negative number of seconds (0 = off)"
-                )
-        else:
-            heartbeat = 1.0
-    if heartbeat < 0:
-        raise ConfigurationError(
-            "heartbeat must be >= 0 (0 disables heartbeats)"
-        )
-    return ExecutionEngine(
-        jobs=args.jobs,
-        cache=cache,
-        timeout=args.timeout,
-        heartbeat=heartbeat,
-        retries=args.retries,
-        journal=journal,
-        resume=resume,
-        faults=faults_from_env(),
-        progress=progress,
-        store=store,
-        scheduler=scheduler,
-        batch_cells=batch_cells,
-        stack_lanes=stack_lanes,
+    flags = {k: v for k, v in vars(args).items() if k in ENGINE_SETTINGS}
+    return engine_from_env(
+        default_cache_dir=DEFAULT_CACHE_DIR, progress=progress, **flags
     )
 
 
@@ -475,9 +363,10 @@ def main(argv: list[str] | None = None) -> int:
         # Workers inherit the environment, so the request reaches the
         # cell wherever it executes; the stats land beside the cache dir.
         os.environ[PROFILE_ENV] = args.cprofile
-        os.environ.setdefault(
-            PROFILE_DIR_ENV, str(Path(args.cache_dir).resolve().parent)
-        )
+        if args.cache_dir is not None:
+            os.environ.setdefault(
+                PROFILE_DIR_ENV, str(Path(args.cache_dir).resolve().parent)
+            )
     if args.trace:
         # Through the environment so forked/spawned workers inherit it.
         configure_tracing(args.trace)
@@ -486,7 +375,24 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # Cells find the store through the environment, serial or in a
+    # worker; "off" keeps them on the legacy build path even when
+    # REPRO_STORE_DIR is set. Restored afterwards: the flag never
+    # outlives the command.
+    saved = os.environ.get(PRECOMPUTE_ENV)
+    if args.precompute is False:
+        os.environ[PRECOMPUTE_ENV] = "off"
+    try:
+        return _run_command(args, profile, engine)
+    finally:
+        if args.precompute is False:
+            if saved is None:
+                os.environ.pop(PRECOMPUTE_ENV, None)
+            else:
+                os.environ[PRECOMPUTE_ENV] = saved
 
+
+def _run_command(args: argparse.Namespace, profile, engine) -> int:
     try:
         if args.command == "mix":
             schemes = _dedup(args.schemes) if args.schemes else None

@@ -54,9 +54,9 @@ dependable as the system under test:
   directories whose owning process died uncleanly (SIGKILL) — see
   :mod:`repro.harness.reaper`.
 * **Cache integrity.** Entries carry a payload checksum; corrupt,
-  truncated, or version-mismatched entries are quarantined (renamed
-  ``*.corrupt``) and counted in telemetry instead of being silently
-  re-parsed forever.
+  truncated, or version-mismatched entries are quarantined (moved to
+  the shard's ``.corrupt`` sidecar) and counted in telemetry instead
+  of being silently re-parsed forever.
 * **Fault injection.** A :class:`~repro.harness.faults.FaultPlan`
   (``REPRO_FAULTS``) injects crashes, hangs, worker kills, and cache
   corruption so every recovery path above is provable by tests.
@@ -87,18 +87,23 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import CampaignInterrupted, ConfigurationError, JournalError
 from repro.harness.faults import FaultPlan, faults_from_env, release_fault_state
-from repro.harness.journal import JournalEntry, RunJournal, batching_from_env
+from repro.harness.journal import (
+    DEFAULT_BATCH_ENTRIES,
+    DEFAULT_LINGER_SECONDS,
+    JournalEntry,
+    RunJournal,
+)
 from repro.harness.reaper import reap_orphans
 from repro.harness.profiling import maybe_profile, reset_claim
 from repro.harness.runconfig import RunProfile
 from repro.harness.streamstats import StreamingSummary
 from repro.harness.store import (
+    PRECOMPUTE_ENV,
     STORE_DIR_ENV,
     STORE_SHM_ENV,
     PrecomputeStore,
     apply_store_stats_delta,
     clear_active_store,
-    precompute_from_env,
     set_active_store,
     store_stats_delta,
     store_stats_snapshot,
@@ -2718,9 +2723,9 @@ class ExecutionEngine:
         if seq is not None:
             # Ack-after-fsync: the progress line (the ack that marks
             # this cell done and resume-skippable) waits for the
-            # group commit covering its journal record. With the
-            # default batch of 1 the record is already durable and the
-            # ack is emitted immediately, as before.
+            # group commit covering its journal record. With a batch
+            # of 1 the record is already durable and the ack is emitted
+            # immediately.
             self._pending_acks.append((outcome, done, total, seq))
             self._drain_acks()
         else:
@@ -3193,203 +3198,165 @@ class ExecutionEngine:
 
 
 # ----------------------------------------------------------------------
-# Environment wiring (shared by the CLI and the benchmark harness)
+# Engine settings: one resolver for the CLI and the library
 # ----------------------------------------------------------------------
-def _int_from_env(name: str, default: int, minimum: int, accepted: str) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name}={raw!r} is not an integer; accepted: {accepted}"
-        )
-    if value < minimum:
-        raise ConfigurationError(
-            f"{name}={raw!r} is out of range; accepted: {accepted}"
-        )
+_ON = ("1", "true", "yes", "on")
+_OFF = ("0", "false", "no", "off")
+_SWITCH = f"{'/'.join(_ON)} to enable, {'/'.join(_OFF)} to disable"
+_INT = "a non-negative integer"
+_SECS = "a non-negative number of seconds"
+
+
+def _count(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError(raw)
     return value
 
 
-def _truthy_env(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
+def _seconds(raw: str) -> float:
+    value = float(raw)
+    if not value >= 0:  # also rejects nan
+        raise ValueError(raw)
+    return value
 
 
-def _seconds_from_env(name: str, default: float | None) -> float | None:
-    """A seconds value from the environment; ``0`` means disabled."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
+def _switch(raw: str) -> bool:
+    text = raw.lower()
+    if text not in _ON + _OFF:
+        raise ValueError(raw)
+    return text in _ON
+
+
+def _scheduler(raw: str) -> str:
+    text = raw.lower()
+    if text not in SCHEDULERS:
+        raise ValueError(raw)
+    return text
+
+
+#: Every engine setting, one row each: ``name: (env var, parser,
+#: accepted forms, default)``. ``name`` is the :func:`engine_from_env`
+#: keyword — and the ``dest`` of the CLI flag, where there is one —
+#: that overrides the env var. Flags reach the resolver as raw text and
+#: go through the same parser, so a flag and its env var accept the
+#: same forms.
+ENGINE_SETTINGS: dict[str, tuple[str, Callable[[str], Any], str, Any]] = {
+    "jobs": ("REPRO_JOBS", _count, f"{_INT} (1 = serial, 0 = one per CPU)", 1),
+    "retries": ("REPRO_RETRIES", _count, f"{_INT} retry budget per cell", 1),
+    "timeout": ("REPRO_TIMEOUT", _seconds, f"{_SECS} (0 = no deadline)", 0.0),
+    "heartbeat": ("REPRO_HEARTBEAT", _seconds, f"{_SECS} (0 = off)", 1.0),
+    "stall_timeout": (
+        "REPRO_STALL_TIMEOUT", _seconds, f"{_SECS} (0 = from the timeout)", 0.0
+    ),
+    "scheduler": ("REPRO_SCHED", _scheduler, " or ".join(SCHEDULERS), "steal"),
+    "batch_cells": (
+        "REPRO_BATCH_CELLS", _count, f"{_INT} (0 = auto, 1 = per cell)", 0
+    ),
+    "stack_lanes": (
+        "REPRO_SIM_STACK", _count, f"{_INT} lane cap (0 = auto, unset = off)",
+        None,
+    ),
+    "resume": ("REPRO_RESUME", _switch, _SWITCH, False),
+    "cache": ("REPRO_CACHE", _switch, _SWITCH, True),
+    "cache_dir": ("REPRO_CACHE_DIR", str, "a directory path", None),
+    "precompute": (PRECOMPUTE_ENV, _switch, _SWITCH, True),
+    "store_dir": (STORE_DIR_ENV, str, "a directory path", None),
+}
+
+
+def _parse_setting(name: str, raw: str, source: str) -> Any:
+    _, parse, accepted, _ = ENGINE_SETTINGS[name]
     try:
-        value = float(raw)
+        return parse(raw.strip())
     except ValueError:
         raise ConfigurationError(
-            f"{name}={raw!r} is not a number; accepted: a non-negative "
-            "number of seconds (0 = disabled)"
-        )
-    if value < 0:
-        raise ConfigurationError(
-            f"{name}={raw!r} is out of range; accepted: a non-negative "
-            "number of seconds (0 = disabled)"
-        )
-    return value if value else None
+            f"{source}={raw!r} is invalid; accepted: {accepted}"
+        ) from None
+
+
+def _env_setting(name: str) -> Any:
+    """Row ``name`` parsed from its env var; ``None`` when unset."""
+    env = ENGINE_SETTINGS[name][0]
+    raw = os.environ.get(env, "").strip()
+    return _parse_setting(name, raw, env) if raw else None
 
 
 def engine_from_env(
     default_cache_dir: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
+    **flag_values: Any,
 ) -> ExecutionEngine:
-    """Build an engine from ``REPRO_*`` environment variables.
+    """Build an engine from flag values, ``REPRO_*`` env vars and defaults.
 
-    * ``REPRO_JOBS``: worker count (default 1 — the serial fallback);
-      ``0`` means one worker per CPU.
-    * ``REPRO_CACHE``: set to ``0`` to disable the on-disk cache.
-    * ``REPRO_CACHE_DIR``: cache directory (falls back to
-      ``default_cache_dir``; if both are unset, caching is off).
-    * ``REPRO_RETRIES``: retry budget per cell (default 1).
-    * ``REPRO_TIMEOUT``: per-cell deadline in seconds for parallel runs
-      (default none; ``0`` also means none).
-    * ``REPRO_HEARTBEAT``: worker liveness heartbeat interval in
-      seconds (default 1; ``0`` disables heartbeats).
-    * ``REPRO_STALL_TIMEOUT``: seconds of frozen heartbeat progress
-      after which a stalled worker is killed (default derived from the
-      timeout; requires heartbeats).
-    * ``REPRO_JOURNAL``: journal path (default
-      ``<cache-dir>/journal.jsonl`` whenever a cache directory is in
-      use; ``0`` disables journaling).
-    * ``REPRO_JOURNAL_BATCH``: journal group-commit batch size
-      (default 64; ``1`` restores one fsync per cell). Acks are held
-      until the batch's fsync, so crash-safety is unchanged.
-    * ``REPRO_JOURNAL_LINGER``: max seconds a partial batch may wait
-      for its fsync (default 0.05).
-    * ``REPRO_RESUME``: set to ``1`` to replay journaled cells instead
-      of re-running them.
-    * ``REPRO_FAULTS``: fault-injection spec for chaos runs (see
-      :mod:`repro.harness.faults`).
-    * ``REPRO_SCHED``: campaign scheduler, ``steal`` (default) or
-      ``fifo`` (legacy per-cell global queue).
-    * ``REPRO_BATCH_CELLS``: cells per dispatched chunk under the steal
-      scheduler (``0`` = auto-size per batch group, ``1`` = per-cell
-      dispatch).
-    * ``REPRO_SIM_STACK``: lane-stacked multi-cell execution. Unset =
-      off; ``0`` = stack every compatible chunk, lanes auto-sized to
-      the chunk; ``K`` = cap each stack at K lanes.
-    * ``REPRO_PRECOMPUTE``: ``off`` disables the precompute store
-      (legacy build-per-cell path); default on.
-    * ``REPRO_STORE_DIR``: precompute-store directory. Defaults to
-      ``<cache-dir>/store`` — using ``REPRO_CACHE_DIR`` or
-      ``default_cache_dir`` even when ``REPRO_CACHE=0``, because the
-      *result* cache and the *input* store are independent layers; with
-      no directory at all the store falls back to shared memory.
+    Each :data:`ENGINE_SETTINGS` row resolves flag > env > default. A
+    flag value of ``None`` means "not given"; a string (the CLI's raw
+    flag text) is parsed like the env var. ``default_cache_dir`` is
+    the cache directory when neither ``cache_dir`` nor
+    ``REPRO_CACHE_DIR`` names one (the CLI passes ``.repro-cache``);
+    with no directory at all, caching is off. Placement:
 
-    Malformed values raise :class:`~repro.errors.ConfigurationError`
-    naming the offending value and the accepted forms.
+    * the journal is ``<cache-dir>/journal.jsonl`` exactly when the
+      result cache is on, group-committing with
+      :data:`~repro.harness.journal.DEFAULT_BATCH_ENTRIES` and
+      :data:`~repro.harness.journal.DEFAULT_LINGER_SECONDS`;
+    * the precompute store, unless ``precompute`` is off, is
+      ``store_dir``, else ``<cache-dir>/store`` (even with the result
+      cache off: the store memoizes cell *inputs*, not results), else
+      shared memory.
+
+    ``REPRO_FAULTS`` adds a chaos plan (:mod:`repro.harness.faults`).
+    Turning ``precompute`` off while ``REPRO_PRECOMPUTE`` explicitly
+    enables it is a conflict. Malformed values raise
+    :class:`~repro.errors.ConfigurationError` naming the value and the
+    accepted forms. The environment is read, never written.
     """
-    jobs = _int_from_env(
-        "REPRO_JOBS",
-        default=1,
-        minimum=0,
-        accepted="a non-negative integer (1 = serial, N = N workers, "
-        "0 = one per CPU)",
-    )
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    retries = _int_from_env(
-        "REPRO_RETRIES",
-        default=1,
-        minimum=0,
-        accepted="a non-negative integer retry budget per cell",
-    )
-    scheduler = os.environ.get("REPRO_SCHED", "").strip().lower() or "steal"
-    if scheduler not in SCHEDULERS:
-        raise ConfigurationError(
-            f"REPRO_SCHED={scheduler!r} is not a scheduler; accepted: "
-            + ", ".join(SCHEDULERS)
-        )
-    batch_cells = _int_from_env(
-        "REPRO_BATCH_CELLS",
-        default=0,
-        minimum=0,
-        accepted="a non-negative integer (0 = auto, 1 = per-cell dispatch)",
-    )
-    stack_lanes: int | None = None
-    if os.environ.get("REPRO_SIM_STACK", "").strip():
-        stack_lanes = _int_from_env(
-            "REPRO_SIM_STACK",
-            default=0,
-            minimum=0,
-            accepted="a non-negative integer (0 = auto lane count, "
-            "K = cap stacks at K lanes; unset = stacking off)",
-        )
-    timeout: float | None = None
-    raw_timeout = os.environ.get("REPRO_TIMEOUT", "").strip()
-    if raw_timeout:
-        try:
-            timeout = float(raw_timeout)
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_TIMEOUT={raw_timeout!r} is not a number; accepted: "
-                "a positive number of seconds (0 = no deadline)"
-            )
-        if timeout < 0:
-            raise ConfigurationError(
-                f"REPRO_TIMEOUT={raw_timeout!r} is out of range; accepted: "
-                "a positive number of seconds (0 = no deadline)"
-            )
-        if timeout == 0:
-            timeout = None
-    heartbeat = _seconds_from_env("REPRO_HEARTBEAT", 1.0)
-    stall_timeout = _seconds_from_env("REPRO_STALL_TIMEOUT", None)
-    cache: ResultCache | None = None
-    directory: str | Path | None = None
-    if os.environ.get("REPRO_CACHE", "1") != "0":
-        directory = os.environ.get("REPRO_CACHE_DIR") or default_cache_dir
-        if directory is not None:
-            cache = ResultCache(directory)
-    journal: RunJournal | None = None
-    raw_journal = os.environ.get("REPRO_JOURNAL", "").strip()
-    batch_entries, linger_seconds = batching_from_env()
-    if raw_journal == "0":
-        journal = None
-    elif raw_journal:
+    unknown = sorted(set(flag_values) - set(ENGINE_SETTINGS))
+    if unknown:
+        raise TypeError(f"unknown engine settings: {', '.join(unknown)}")
+
+    def setting(name: str) -> Any:
+        value = flag_values.get(name)
+        if isinstance(value, str):
+            value = _parse_setting(name, value, name)
+        elif value is None:
+            value = _env_setting(name)
+        return ENGINE_SETTINGS[name][3] if value is None else value
+
+    cache_dir = setting("cache_dir") or default_cache_dir
+    cache = journal = None
+    if setting("cache") and cache_dir is not None:
+        cache = ResultCache(cache_dir)
         journal = RunJournal(
-            raw_journal,
-            batch_entries=batch_entries,
-            linger_seconds=linger_seconds,
-        )
-    elif directory is not None:
-        journal = RunJournal(
-            Path(directory) / "journal.jsonl",
-            batch_entries=batch_entries,
-            linger_seconds=linger_seconds,
+            Path(cache_dir) / "journal.jsonl",
+            batch_entries=DEFAULT_BATCH_ENTRIES,
+            linger_seconds=DEFAULT_LINGER_SECONDS,
         )
     store: PrecomputeStore | None = None
-    if precompute_from_env():
-        # The trace store is allowed even when the result cache is off
-        # (REPRO_CACHE=0): it memoizes cell *inputs*, not results, so
-        # "always re-simulate" semantics are preserved either way.
-        explicit_dir = os.environ.get(STORE_DIR_ENV)
-        cache_dir = os.environ.get("REPRO_CACHE_DIR") or default_cache_dir
-        if explicit_dir:
-            store = PrecomputeStore(explicit_dir)
-        elif cache_dir is not None:
-            store = PrecomputeStore(Path(cache_dir) / "store")
-        else:
-            store = PrecomputeStore()  # shared-memory backend
+    if setting("precompute"):
+        store_dir = setting("store_dir")
+        if store_dir is None and cache_dir is not None:
+            store_dir = Path(cache_dir) / "store"
+        store = PrecomputeStore(store_dir)  # no directory: shared memory
+    elif _env_setting("precompute"):  # the flag turned it off
+        raise ConfigurationError(
+            f"--no-precompute-store conflicts with {PRECOMPUTE_ENV}="
+            f"{os.environ[PRECOMPUTE_ENV]!r}; accepted: drop the flag, or "
+            f"set {PRECOMPUTE_ENV}=off (or unset it)"
+        )
     return ExecutionEngine(
-        jobs=jobs,
+        jobs=setting("jobs") or os.cpu_count() or 1,
         cache=cache,
-        timeout=timeout,
-        heartbeat=heartbeat,
-        stall_timeout=stall_timeout,
-        retries=retries,
+        timeout=setting("timeout") or None,
+        heartbeat=setting("heartbeat"),
+        stall_timeout=setting("stall_timeout") or None,
+        retries=setting("retries"),
         journal=journal,
-        resume=_truthy_env("REPRO_RESUME"),
+        resume=setting("resume"),
         faults=faults_from_env(),
         progress=progress,
         store=store,
-        scheduler=scheduler,
-        batch_cells=batch_cells,
-        stack_lanes=stack_lanes,
+        scheduler=setting("scheduler"),
+        batch_cells=setting("batch_cells"),
+        stack_lanes=setting("stack_lanes"),
     )

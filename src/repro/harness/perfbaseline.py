@@ -1,6 +1,6 @@
 """Perf regression check against the committed performance baselines.
 
-Two benchmark drivers record machine-independent *speedup ratios* at the
+Four benchmark drivers record machine-independent *speedup ratios* at the
 repository root (absolute wall-clock depends on the host; the ratio of
 two modes measured back-to-back on the same machine does not, to first
 order):
@@ -33,7 +33,7 @@ CLI (the CI ``perf-smoke`` job)::
     PYTHONPATH=src python -m repro.harness.perfbaseline --current fresh.json
 
 The baseline defaults to the committed file matching the current
-payload's kind, so the same command line serves both checks.
+payload's kind, so the same command line serves every check.
 """
 
 from __future__ import annotations

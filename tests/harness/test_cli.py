@@ -1,10 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+from operator import attrgetter
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import build_engine, build_parser, main
+from repro.errors import ConfigurationError
+from repro.harness.exec import ENGINE_SETTINGS, ExecutionEngine, engine_from_env
+from repro.harness.store import STORE_SHM_ENV
 from repro.obs.trace import TRACE_ENV
 
 
@@ -209,3 +213,83 @@ class TestConformCommand:
         out = capsys.readouterr().out
         assert "[FAIL]" in out
         assert "Conformance FAILED" in out
+
+
+def _cli_engine(flags: list[str]) -> ExecutionEngine:
+    return build_engine(build_parser().parse_args([*flags, "mix", "1"]))
+
+
+#: Per env var of the settings table: (value, value the flag must beat,
+#: flag argv or None when the row has no flag, engine attribute).
+SETTING_CASES = {
+    "REPRO_JOBS": ("2", "2", ["--jobs", "3"], attrgetter("jobs")),
+    "REPRO_RETRIES": ("3", "3", ["--retries", "0"], attrgetter("retries")),
+    "REPRO_TIMEOUT": ("7", "7", ["--timeout", "0"], attrgetter("timeout")),
+    "REPRO_HEARTBEAT": (
+        "0.5", "0.5", ["--heartbeat", "0"], attrgetter("heartbeat")
+    ),
+    "REPRO_STALL_TIMEOUT": ("4", None, None, attrgetter("stall_timeout")),
+    "REPRO_SCHED": ("FIFO", "fifo", ["--sched", "steal"], attrgetter("scheduler")),
+    "REPRO_BATCH_CELLS": (
+        "4", "4", ["--batch-cells", "1"], attrgetter("batch_cells")
+    ),
+    "REPRO_SIM_STACK": (
+        "3", "3", ["--stack-lanes", "0"], attrgetter("stack_lanes")
+    ),
+    "REPRO_RESUME": ("TRUE", "0", ["--resume"], attrgetter("resume")),
+    "REPRO_CACHE": (
+        "0",
+        "1",
+        ["--no-cache"],
+        lambda e: (e.cache is not None, e.journal is not None),
+    ),
+    "REPRO_CACHE_DIR": (
+        "env-cache",
+        "env-cache",
+        ["--cache-dir", "flag-cache"],
+        lambda e: (e.cache.directory, e.journal.path, e.store.directory),
+    ),
+    # REPRO_PRECOMPUTE=on with the flag is a rejected conflict instead.
+    "REPRO_PRECOMPUTE": (
+        "off", "off", ["--no-precompute-store"], lambda e: e.store is None
+    ),
+    "REPRO_STORE_DIR": ("env-store", None, None, lambda e: e.store.directory),
+}
+
+
+class TestEngineSettings:
+    """The CLI and ``engine_from_env`` share one resolver."""
+
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        for env, *_ in ENGINE_SETTINGS.values():
+            monkeypatch.delenv(env, raising=False)
+        for env in (STORE_SHM_ENV, "REPRO_FAULTS"):
+            monkeypatch.delenv(env, raising=False)
+        # Both entry points resolve the same cache directory.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_SETTINGS))
+    def test_cli_matches_library_and_flag_beats_env(self, name, monkeypatch):
+        env = ENGINE_SETTINGS[name][0]
+        value, against, flag, attribute = SETTING_CASES[env]
+        monkeypatch.setenv(env, value)
+        assert attribute(_cli_engine([])) == attribute(engine_from_env())
+        if flag is None:
+            return
+        monkeypatch.setenv(env, against)
+        with_env = attribute(_cli_engine(flag))
+        monkeypatch.delenv(env)
+        assert with_env == attribute(_cli_engine(flag))
+
+    def test_zero_timeout_means_no_deadline_for_flag_and_env(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TIMEOUT", "0")
+        assert engine_from_env().timeout is None
+        assert _cli_engine([]).timeout is None
+        monkeypatch.setenv("REPRO_TIMEOUT", "7")
+        assert _cli_engine(["--timeout", "0"]).timeout is None
+        with pytest.raises(ConfigurationError):
+            ExecutionEngine(timeout=0)

@@ -234,8 +234,6 @@ class TestEngineFromEnv:
         assert engine.resume
         assert engine.journal is not None
         assert engine.journal.path == tmp_path / "journal.jsonl"
-        monkeypatch.setenv("REPRO_JOURNAL", "0")
-        assert engine_from_env().journal is None
 
     def test_no_cache_dir_means_no_journal(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

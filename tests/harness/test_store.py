@@ -475,17 +475,34 @@ class TestEngineFromEnvStore:
 
 
 class TestCli:
-    def test_flag_disables_store_and_env_for_workers(self, tmp_path, monkeypatch):
-        from repro.__main__ import build_engine, build_parser
+    def test_flag_disables_store_and_env_for_workers(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Serial and worker cells run without the store — even one an
+        earlier campaign left in ``REPRO_STORE_DIR`` — and the flag does
+        not outlive the command."""
+        from repro.__main__ import main
 
+        monkeypatch.chdir(tmp_path)
         monkeypatch.delenv(PRECOMPUTE_ENV, raising=False)
-        args = build_parser().parse_args(
-            ["--cache-dir", str(tmp_path), "--no-precompute-store", "mix", "1"]
+        monkeypatch.delenv(STORE_SHM_ENV, raising=False)
+        leftover = tmp_path / "leftover-store"
+        monkeypatch.setenv(STORE_DIR_ENV, str(leftover))
+        before = dict(os.environ)
+        for jobs in ("1", "2"):
+            code = main(
+                ["--profile", "test", "--jobs", jobs, "--no-cache",
+                 "--no-precompute-store", "--telemetry",
+                 "mix", "1", "--schemes", "static", "time"]
+            )
+            assert code == 0
+            err = capsys.readouterr().err
+            assert "2 simulated" in err
+            assert "store:" not in err and "rebuilt:" not in err
+            assert dict(os.environ) == before
+        assert not leftover.exists() or not any(
+            path.is_file() for path in leftover.rglob("*")
         )
-        engine = build_engine(args)
-        assert engine.store is None
-        # The decision reaches serial cells and workers through the env.
-        assert os.environ[PRECOMPUTE_ENV] == "off"
 
     def test_default_store_rides_with_cache_dir(self, tmp_path):
         from repro.__main__ import build_engine, build_parser

@@ -1,5 +1,5 @@
-"""Campaign scheduler benchmark: fifo per-cell dispatch vs the
-cell-major batching / work-stealing supervisor.
+"""Campaign dispatch benchmark: per-cell vs chunked dispatch and lane
+stacking through the work-stealing supervisor.
 
 Measures what chunked dispatch (``repro.harness.exec``) buys on a
 skewed campaign and writes the results to ``BENCH_campaign.json`` at
@@ -8,14 +8,12 @@ the repository root:
 * **serial** — ``jobs=1``: the in-process reference whose results
   every parallel mode must reproduce byte-for-byte (run once, only to
   anchor bit-identity);
-* **percell** — ``jobs=4`` under the legacy ``fifo`` scheduler: one
-  cell per dispatch from a single shared queue, in submission order;
-* **stolen** — the ``steal`` scheduler with ``batch_cells=1``:
-  longest-expected-first seeding onto per-worker deques plus
-  steal-on-idle, still one cell per dispatch;
-* **batched** — the ``steal`` scheduler with ``batch_cells=8``: a
-  whole batch group rides in one chunk to one worker, sharing that
-  process's scratch arena and memoizers;
+* **stolen** — ``jobs=4`` with ``batch_cells=1``: longest-expected-
+  first seeding onto per-worker deques plus steal-on-idle, one cell
+  per dispatch — the baseline the speedups are measured against;
+* **batched** — ``batch_cells=8``: a whole batch group rides in one
+  chunk to one worker, sharing that process's scratch arena and
+  memoizers;
 * **stacked** — the batched configuration plus ``stack_lanes=0``: each
   chunk's cells run as interleaved *lanes* of one vectorized kernel
   pass (:class:`repro.sim.batch.StackedLanes`), sharing workload
@@ -32,25 +30,21 @@ The campaign is deliberately skewed in *per-cell setup cost*: the
 untangle cells lead the grid, and the first untangle cell in each
 worker process pays the Dinkelbach rate-table solve (the store is
 disabled, exactly the legacy sessions the scheduler must cope with).
-Per-cell dispatch — fifo or stolen singletons — hands the leading
-untangle cells to all four workers, so the campaign pays the solve
-*four times*. Cell-major chunking dispatches the untangle group as
+Per-cell dispatch hands the leading untangle cells to all four
+workers, so the campaign pays the solve *four times*. Cell-major chunking dispatches the untangle group as
 whole chunks to far fewer workers, each of which solves once and
 reuses the table for the rest of its chunk: less total work, not just
-better overlap, so the speedup survives even a single-core CI host. Work stealing's own benefit is
-overlap — rebalancing stragglers across cores — so on a few-core host
-the ``stolen`` mode measures ~1.0x, and can even dip below it when a
-stolen untangle cell lands on a worker that has not solved yet and
-pays a duplicate solve; both are recorded as measured (the
-``campaign`` section records the host's core count for context). The
-steal scheduler's balancing guarantees are pinned deterministically by
-``tests/harness/test_scheduler.py`` instead.
+better overlap, so the speedup survives even a single-core CI host.
+Work stealing's own benefit is overlap — rebalancing stragglers across
+cores — which a few-core host cannot show (the ``campaign`` section
+records the host's core count for context); its balancing guarantees
+are pinned deterministically by ``tests/harness/test_scheduler.py``.
 
 Methodology matches ``bench_store.py``: every measurement runs in a
 fresh child interpreter (clean memoizers and metrics), repetitions are
 interleaved so all modes see the same machine drift, and the per-mode
-minimum is reported. The recorded *speedups* (percell/stolen and
-percell/batched on the same host) are the machine-independent
+minimum is reported. The recorded *speedups* (stolen/batched and
+stolen/stacked on the same host) are the machine-independent
 quantities the perf regression check (:mod:`repro.harness.perfbaseline`,
 CI ``perf-smoke`` job) compares. All modes must be bit-identical to
 the serial reference, and every mode's telemetry must satisfy
@@ -97,15 +91,9 @@ FORMAT_VERSION = 1
 #: Engine parameters per measured mode.
 MODES: dict[str, dict] = {
     "serial": {"jobs": 1},
-    "percell": {"jobs": JOBS, "scheduler": "fifo"},
-    "stolen": {"jobs": JOBS, "scheduler": "steal", "batch_cells": 1},
-    "batched": {"jobs": JOBS, "scheduler": "steal", "batch_cells": 8},
-    "stacked": {
-        "jobs": JOBS,
-        "scheduler": "steal",
-        "batch_cells": 8,
-        "stack_lanes": 0,
-    },
+    "stolen": {"jobs": JOBS, "batch_cells": 1},
+    "batched": {"jobs": JOBS, "batch_cells": 8},
+    "stacked": {"jobs": JOBS, "batch_cells": 8, "stack_lanes": 0},
 }
 
 #: Scheduling telemetry shipped from the child for the report.
@@ -210,7 +198,6 @@ def _measure(mode: str, quick: bool) -> dict:
     env = dict(os.environ)
     for name in (
         "REPRO_JOBS",
-        "REPRO_SCHED",
         "REPRO_BATCH_CELLS",
         "REPRO_SIM_STACK",
         "REPRO_CACHE",
@@ -219,7 +206,6 @@ def _measure(mode: str, quick: bool) -> dict:
         "REPRO_FAULTS",
         "REPRO_PRECOMPUTE",
         "REPRO_STORE_DIR",
-        "REPRO_STORE_SHM",
         "REPRO_TRACE",
         "REPRO_METRICS",
         "REPRO_PROFILE",
@@ -239,7 +225,7 @@ def _measure(mode: str, quick: bool) -> dict:
 
 def bench_campaign(quick: bool, reps: int) -> dict:
     walls: dict[str, list[float]] = {
-        "percell": [], "stolen": [], "batched": [], "stacked": []
+        "stolen": [], "batched": [], "stacked": []
     }
     telemetry: dict[str, dict] = {}
     fingerprints: list = []
@@ -250,7 +236,7 @@ def bench_campaign(quick: bool, reps: int) -> dict:
     print(f"  serial reference {serial['wall']:6.2f}s", flush=True)
 
     for rep in range(reps):
-        for mode in ("percell", "stolen", "batched", "stacked"):
+        for mode in ("stolen", "batched", "stacked"):
             report = _measure(mode, quick)
             walls[mode].append(report["wall"])
             telemetry[mode] = report["telemetry"]
@@ -268,7 +254,6 @@ def bench_campaign(quick: bool, reps: int) -> dict:
         divergent = sorted({mode for mode, fp in fingerprints if fp != reference})
         raise AssertionError(f"campaign results diverge across modes: {divergent}")
 
-    percell = min(walls["percell"])
     stolen = min(walls["stolen"])
     batched = min(walls["batched"])
     stacked = min(walls["stacked"])
@@ -282,26 +267,20 @@ def bench_campaign(quick: bool, reps: int) -> dict:
             "host_cores": os.cpu_count(),
         },
         "serial": {"seconds": serial["wall"]},
-        "percell": {
-            "seconds": percell,
-            "identical": identical,
-            "telemetry": telemetry["percell"],
-        },
         "stolen": {
             "seconds": stolen,
-            "speedup": percell / stolen,
             "identical": identical,
             "telemetry": telemetry["stolen"],
         },
         "batched": {
             "seconds": batched,
-            "speedup": percell / batched,
+            "speedup": stolen / batched,
             "identical": identical,
             "telemetry": telemetry["batched"],
         },
         "stacked": {
             "seconds": stacked,
-            "speedup": percell / stacked,
+            "speedup": stolen / stacked,
             # The headline ratio for the stacked-lanes layer: what
             # stacking buys over the already-chunked configuration.
             "speedup_vs_batched": batched / stacked,
@@ -313,8 +292,8 @@ def bench_campaign(quick: bool, reps: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark campaign scheduling: fifo per-cell dispatch "
-        "vs work stealing (per-cell and chunked)."
+        description="Benchmark campaign dispatch: per-cell vs chunked "
+        "dispatch and lane stacking."
     )
     parser.add_argument(
         "--quick",
@@ -344,12 +323,12 @@ def main(argv: list[str] | None = None) -> int:
 
     reps = args.reps or (2 if args.quick else 3)
     print(
-        f"scheduler campaign (skewed grid, jobs={JOBS}, min of {reps}):",
+        f"dispatch campaign (skewed grid, jobs={JOBS}, min of {reps}):",
         flush=True,
     )
     results = bench_campaign(args.quick, reps)
 
-    for mode in ("percell", "stolen", "batched", "stacked"):
+    for mode in ("stolen", "batched", "stacked"):
         entry = results[mode]
         speedup = (
             f"  speedup={entry['speedup']:5.2f}x" if "speedup" in entry else ""

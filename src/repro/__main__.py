@@ -26,13 +26,11 @@ and timing counters to stderr afterwards. Each engine flag has a
 ``--no-cache``/``REPRO_CACHE=0``, ...); a flag beats its env var, which
 beats the default (``repro.harness.exec.ENGINE_SETTINGS``).
 
-Parallel runs schedule through a work-stealing supervisor by default:
-``--sched steal`` (or ``REPRO_SCHED``) dispatches chunks of
-batch-compatible cells to one worker — sized by ``--batch-cells``
-(``0`` = auto) — seeded longest-expected-first from journal runtime
-history, with idle workers stealing from the most loaded peer;
-``--sched fifo`` restores legacy one-cell-at-a-time dispatch (see
-``docs/performance.md``).
+Parallel runs schedule through a work-stealing supervisor: chunks of
+batch-compatible cells go to one worker — sized by ``--batch-cells``
+(``0`` = auto, ``1`` = one cell per dispatch) — seeded
+longest-expected-first from journal runtime history, with idle workers
+stealing from the most loaded peer (see ``docs/performance.md``).
 
 Cells additionally share a cross-cell *precompute store*
 (``docs/performance.md``): workload traces and Untangle rate tables are
@@ -75,7 +73,6 @@ from pathlib import Path
 from repro.errors import CampaignInterrupted, ConfigurationError
 from repro.harness.exec import (
     ENGINE_SETTINGS,
-    SCHEDULERS,
     ExecutionEngine,
     engine_from_env,
 )
@@ -125,20 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--sched",
-        dest="scheduler",
-        metavar="{" + ",".join(SCHEDULERS) + "}",
-        help=(
-            "campaign scheduler: steal = per-worker deques with "
-            "work stealing (default), fifo = legacy per-cell global "
-            "queue (also: REPRO_SCHED)"
-        ),
-    )
-    parser.add_argument(
         "--batch-cells",
         metavar="N",
         help=(
-            "cells per dispatched chunk under the steal scheduler "
+            "cells per dispatched chunk "
             "(0 = auto per batch group, 1 = per-cell dispatch; "
             "also: REPRO_BATCH_CELLS)"
         ),

@@ -50,8 +50,8 @@ dependable as the system under test:
 * **Graceful shutdown.** SIGINT/SIGTERM terminate workers cleanly,
   leave the journal valid, and surface a resume hint via
   :class:`~repro.errors.CampaignInterrupted`.
-* **Orphan reaping.** Startup sweeps shm store segments and fault-state
-  directories whose owning process died uncleanly (SIGKILL) — see
+* **Orphan reaping.** Startup sweeps fault-state directories whose
+  owning process died uncleanly (SIGKILL) — see
   :mod:`repro.harness.reaper`.
 * **Cache integrity.** Entries carry a payload checksum; corrupt,
   truncated, or version-mismatched entries are quarantined (moved to
@@ -100,7 +100,6 @@ from repro.harness.streamstats import StreamingSummary
 from repro.harness.store import (
     PRECOMPUTE_ENV,
     STORE_DIR_ENV,
-    STORE_SHM_ENV,
     PrecomputeStore,
     apply_store_stats_delta,
     clear_active_store,
@@ -119,12 +118,6 @@ from repro.sim.batch import cell_scratch
 #: interpolation partition quartiles; unfinished slices report partial
 #: IPC instead of 0.)
 CACHE_FORMAT_VERSION = 3
-
-#: Supported campaign schedulers: ``steal`` (per-worker deques seeded
-#: longest-expected-first, idle workers steal from the most loaded
-#: peer) and ``fifo`` (the legacy single global queue, retained as the
-#: per-cell dispatch baseline of ``benchmarks/bench_campaign.py``).
-SCHEDULERS = ("steal", "fifo")
 
 #: Hard ceiling on cells per dispatched chunk (auto sizing stays below).
 MAX_BATCH_CELLS = 32
@@ -471,9 +464,7 @@ class ResultCache:
     The legacy one-file-per-entry layout
     (``<directory>/<key[:2]>/<key>.json``) remains fully readable:
     :meth:`get` falls back to it when a key has no packed entry, so
-    existing caches interchange without migration. ``layout="files"``
-    keeps *writing* that layout (atomic temp file + rename) — retained
-    as the baseline arm of ``benchmarks/bench_overhead.py``.
+    existing caches interchange without migration. Nothing writes it.
 
     Integrity: cache keys and the per-entry SHA-256 of the value
     payload are unchanged from the per-file layout. A packed entry that
@@ -485,13 +476,8 @@ class ResultCache:
     (``<entry>.json.corrupt``) as before.
     """
 
-    def __init__(self, directory: str | Path, *, layout: str = "pack"):
-        if layout not in ("pack", "files"):
-            raise ConfigurationError(
-                f"unknown cache layout {layout!r}; accepted: pack, files"
-            )
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.layout = layout
         #: Entries quarantined by :meth:`get` over this instance's life.
         self.quarantined = 0
         #: Successful/absent lookups over this instance's life.
@@ -511,16 +497,12 @@ class ResultCache:
         # Whether the directory holds legacy per-file entries at all;
         # resolved lazily with one directory listing so a pure-pack
         # cache never pays the per-miss legacy path probe.
-        self._legacy_checked = layout == "files"
-        self._legacy_present = layout == "files"
-        #: Shard dirs already created by the legacy writer (memoized so
-        #: ``layout="files"`` pays one mkdir per shard, not per put).
-        self._made_dirs: set[str] = set()
+        self._legacy_checked = False
+        self._legacy_present = False
 
     # -- paths ----------------------------------------------------------
     def _path(self, key: str) -> Path:
-        """Legacy per-file entry path (still read; written by
-        ``layout="files"``)."""
+        """Legacy per-file entry path (read-only fallback)."""
         return self.directory / key[:2] / f"{key}.json"
 
     @staticmethod
@@ -937,35 +919,15 @@ class ResultCache:
     def put(self, key: str, payload: dict[str, Any]) -> None:
         """Write one entry durably-replaceable and atomically visible.
 
-        Packed layout: one append of one serialized line (newline-
-        terminated appends are atomic for readers; a newer line for the
-        same key shadows older ones). ``layout="files"``: the legacy
-        atomic temp-file + rename. Raises ``OSError`` (e.g.
+        One append of one serialized line (newline-terminated appends
+        are atomic for readers; a newer line for the same key shadows
+        older ones). Raises ``OSError`` (e.g.
         ``ENOSPC``/``EIO``): the engine downgrades the cache to
         compute-only on the first write failure rather than silently
         dropping every entry onto a full disk for the rest of the
         campaign.
         """
         line = self._encode_entry(key, payload)
-        if self.layout == "files":
-            path = self._path(key)
-            if key[:2] not in self._made_dirs:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                self._made_dirs.add(key[:2])
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(line)
-                os.replace(tmp, path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            return
         shard = self._pack_shard(key)
         fd = self._fd(shard)
         offset = os.lseek(fd, 0, os.SEEK_END)
@@ -983,15 +945,14 @@ class ResultCache:
     def corrupt_entry(self, key: str) -> None:
         """Garble the stored entry for ``key`` in place (fault injection).
 
-        Packed entries are damaged *within* their line — byte length
-        and neighbors untouched, so exactly one entry is affected;
-        legacy entries are truncated like a torn write.
+        The entry is damaged *within* its line — byte length and
+        neighbors untouched, so exactly one entry is affected. A key
+        with no packed entry is left alone.
         """
         shard = self._pack_shard(key)
         self._refresh_shard(shard)
         loc = self._index.get(shard, {}).get(key)
         if loc is None:
-            FaultPlan.corrupt_file(self._path(key))
             return
         offset, length = loc
         stamp = b"#torn-write#"[: max(1, length - 2)]
@@ -1071,7 +1032,7 @@ class EngineTelemetry:
     #: the campaign — a warm store drives both to zero.
     workload_builds: int = 0
     rmax_solves: int = 0
-    #: Chunks stolen from a peer worker's deque (steal scheduler only).
+    #: Chunks stolen from a peer worker's deque.
     steals: int = 0
     #: Chunks sent to workers / cells carried by those chunks. Equal
     #: when ``batch_cells=1``; their ratio is the realized batch factor.
@@ -1264,7 +1225,7 @@ def backoff_delay(
 
 
 # ----------------------------------------------------------------------
-# Cost model (steal-scheduler seeding)
+# Cost model (deque seeding)
 # ----------------------------------------------------------------------
 def _cost_family(label: str) -> str:
     """The scheduling family of a cell label (its trailing component).
@@ -1643,23 +1604,17 @@ class _Supervisor:
     rescheduled with backoff, and every other slot keeps streaming cells
     — no failure can stall the round or leak a pool slot.
 
-    Scheduling comes in two flavors, selected by ``engine.scheduler``:
+    Pending cells are grouped into batch-compatible *chunks* (cell-
+    major batching: one worker runs a run of cells under a shared
+    scratch arena) and seeded onto per-slot deques longest-expected-
+    first (LPT, using journal runtime hints). A worker that drains its
+    own deque steals the cheapest chunk from the most loaded peer, so
+    one straggler slot cannot serialize the tail of a campaign.
 
-    * ``steal`` (default): pending cells are grouped into batch-
-      compatible *chunks* (cell-major batching: one worker runs a run of
-      cells under a shared scratch arena) and seeded onto per-slot
-      deques longest-expected-first (LPT, using journal runtime hints).
-      A worker that drains its own deque steals the cheapest chunk from
-      the most loaded peer, so one straggler slot cannot serialize the
-      tail of a campaign.
-    * ``fifo``: the legacy single global queue with per-cell dispatch,
-      retained as the baseline ``benchmarks/bench_campaign.py`` measures
-      the steal scheduler against.
-
-    Either way, workers report results per *cell*, attempts/deadlines
-    are booked per cell, and outcomes are bit-identical to serial
-    execution. Backed-off retries always live in the global ``queue``
-    and take priority over unstarted chunks.
+    Workers report results per *cell*, attempts/deadlines are booked
+    per cell, and outcomes are bit-identical to serial execution.
+    Backed-off retries live in the global ``queue`` and take priority
+    over unstarted chunks.
     """
 
     #: How long one poll of the worker pipes blocks, seconds. Bounds
@@ -1668,10 +1623,9 @@ class _Supervisor:
 
     def __init__(self, engine: "ExecutionEngine", pending):
         self.engine = engine
-        self.scheduler = engine.scheduler
         self.context = multiprocessing.get_context()
-        # (index, cell, key, ready_at): backed-off retries (and, under
-        # the fifo scheduler, all initial work). ready_at defers retries.
+        # (index, cell, key, ready_at): backed-off retries; ready_at
+        # defers them.
         self.queue: deque[tuple[int, Any, str, float]] = deque()
         self.attempts = {index: 0 for index, _, _ in pending}
         #: Cumulative elapsed seconds per cell across all its attempts —
@@ -1680,14 +1634,8 @@ class _Supervisor:
         self.elapsed = {index: 0.0 for index, _, _ in pending}
         slots = min(engine.jobs, len(pending))
         self.deques: list[deque[_Chunk]] = [deque() for _ in range(slots)]
-        if self.scheduler == "steal":
-            self.hints = engine._runtime_hints()
-            self._seed_deques(self._plan_chunks(pending))
-        else:
-            self.hints = {}
-            self.queue.extend(
-                (index, cell, key, 0.0) for index, cell, key in pending
-            )
+        self.hints = engine._runtime_hints()
+        self._seed_deques(self._plan_chunks(pending))
         #: Per-cell count of attempts that ended in a worker *death*
         #: (crash / deadline kill / stall kill) rather than a reported
         #: error — the poison circuit breaker's evidence.
@@ -1747,7 +1695,7 @@ class _Supervisor:
                 )
 
     # ------------------------------------------------------------------
-    # Chunk planning and deque seeding (steal scheduler)
+    # Chunk planning and deque seeding
     # ------------------------------------------------------------------
     def _chunk_cost(self, cells) -> float:
         return sum(expected_cost(cell, self.hints) for _, cell, _ in cells)
@@ -1924,17 +1872,15 @@ class _Supervisor:
     def _next_chunk(self, slot: int, now: float):
         """The next run of cells for an idle worker, or ``None``.
 
-        Backed-off retries (strictly older work) go first in both
-        scheduler modes; then the slot's own deque, front (most
-        expensive) first; then a steal from the most loaded peer.
+        Backed-off retries (strictly older work) go first; then the
+        slot's own deque, front (most expensive) first; then a steal
+        from the most loaded peer.
         """
         for position, task in enumerate(self.queue):
             if task[3] <= now:
                 del self.queue[position]
                 index, cell, key, _ = task
                 return [(index, cell, key)]
-        if self.scheduler != "steal":
-            return None
         own = self.deques[slot]
         if own:
             return own.popleft().cells
@@ -2074,15 +2020,9 @@ class _Supervisor:
         if not cells:
             return
         cells = list(cells)
-        if self.scheduler == "steal":
-            self.deques[slot].appendleft(
-                _Chunk(cells=cells, cost=self._chunk_cost(cells))
-            )
-        else:
-            self.queue.extendleft(
-                (index, cell, key, 0.0)
-                for index, cell, key in reversed(cells)
-            )
+        self.deques[slot].appendleft(
+            _Chunk(cells=cells, cost=self._chunk_cost(cells))
+        )
 
     def _collect(self) -> Iterator[tuple[int, CellOutcome]]:
         handles: dict[Any, _Worker] = {}
@@ -2447,23 +2387,16 @@ class ExecutionEngine:
         cells fan out, every distinct artifact the pending cells declare
         via ``store_needs()`` is precomputed once (``store.populate``,
         traced as a ``store.populate`` span); workers then attach
-        zero-copy instead of regenerating. The store is torn down
-        (shared-memory segments unlinked) when the run exits — the
-        SIGINT path included. ``None`` disables the layer; results are
+        zero-copy instead of regenerating. The store is deactivated and
+        ``REPRO_STORE_DIR`` restored when the run exits — the SIGINT
+        path included. ``None`` disables the layer; results are
         bit-identical either way. Independent of ``cache``: the *result*
         cache memoizes finished cells, the store memoizes the expensive
         *inputs* of cells that do run.
-    scheduler:
-        ``"steal"`` (default) assigns cells to per-worker deques seeded
-        longest-expected-first and lets idle workers steal from the most
-        loaded peer; ``"fifo"`` is the legacy single global queue with
-        per-cell dispatch. Results are bit-identical either way — only
-        the order and placement of work differ.
     batch_cells:
-        Cells per dispatched chunk under the steal scheduler. ``None``
-        or ``0`` auto-sizes per batch group (see
-        ``_Supervisor._plan_chunks``); ``1`` forces per-cell dispatch;
-        larger values cap at :data:`MAX_BATCH_CELLS`.
+        Cells per dispatched chunk. ``None`` or ``0`` auto-sizes per
+        batch group (see ``_Supervisor._plan_chunks``); ``1`` forces
+        per-cell dispatch; larger values cap at :data:`MAX_BATCH_CELLS`.
     stack_lanes:
         Lane-stacked multi-cell execution
         (:class:`~repro.sim.batch.StackedLanes`). ``None`` (default)
@@ -2493,7 +2426,6 @@ class ExecutionEngine:
         faults: FaultPlan | None = None,
         progress: Callable[[str], None] | None = None,
         store: PrecomputeStore | None = None,
-        scheduler: str = "steal",
         batch_cells: int | None = None,
         stack_lanes: int | None = None,
     ):
@@ -2514,17 +2446,11 @@ class ExecutionEngine:
             )
         if backoff_base < 0 or backoff_cap < 0:
             raise ConfigurationError("backoff delays must be >= 0")
-        if scheduler not in SCHEDULERS:
-            raise ConfigurationError(
-                f"unknown scheduler {scheduler!r}; accepted: "
-                + ", ".join(SCHEDULERS)
-            )
         if batch_cells is not None and batch_cells < 0:
             raise ConfigurationError("batch_cells must be >= 0")
         if stack_lanes is not None and stack_lanes < 0:
             raise ConfigurationError("stack_lanes must be >= 0")
         self.jobs = jobs
-        self.scheduler = scheduler
         #: ``None`` means auto-size per batch group; 0 normalizes to it.
         self.batch_cells = batch_cells if batch_cells else None
         #: ``None`` = stacking off; 0 = auto lanes; K >= 1 = lane cap.
@@ -2763,7 +2689,7 @@ class ExecutionEngine:
         """Runtime estimates from journal history, if any (per label,
         per (family, profile), and legacy per family).
 
-        Feeds the steal scheduler's LPT seeding; an empty dict (no
+        Feeds the supervisor's LPT seeding; an empty dict (no
         journal, fresh journal, unreadable journal) falls back to the
         static family weights — scheduling quality degrades, never
         correctness.
@@ -2884,7 +2810,6 @@ class ExecutionEngine:
             campaign=campaign,
             jobs=self.jobs,
             cells=total,
-            scheduler=self.scheduler,
         )
         run_span.__enter__()
         journaled = (
@@ -2895,11 +2820,14 @@ class ExecutionEngine:
         quarantined_before = self.cache.quarantined if self.cache else 0
         stats_before = store_stats_snapshot()
         reset_claim()  # each campaign gets one REPRO_PROFILE capture
-        # Startup hygiene: reclaim shm segments and fault-state dirs a
-        # SIGKILL'd previous run could not tear down (owner-PID probed,
-        # so concurrent live campaigns are never touched).
+        # Startup hygiene: reclaim fault-state dirs a SIGKILL'd previous
+        # run could not tear down (owner-PID probed, so concurrent live
+        # campaigns are never touched).
         reap_orphans()
         self.manifest_path = None
+        # export_env() below publishes this run's store to workers; the
+        # caller's value comes back on every exit path.
+        store_dir_env = os.environ.get(STORE_DIR_ENV)
         self._install_signals()
         try:
             pending: list[tuple[int, Any, str]] = []
@@ -2976,7 +2904,6 @@ class ExecutionEngine:
                     # worker keeps hitting the failing backend.
                     clear_active_store()
                     os.environ.pop(STORE_DIR_ENV, None)
-                    os.environ.pop(STORE_SHM_ENV, None)
 
             if pending:
                 if self.jobs == 1:
@@ -3043,12 +2970,16 @@ class ExecutionEngine:
                 store_stats_delta(stats_before, store_stats_snapshot())
             )
             if self.store is not None:
-                # Teardown on every exit path — SIGINT included — so no
-                # /dev/shm segment outlives the run.
+                # Teardown on every exit path — SIGINT included — so
+                # neither this store nor its exported directory outlives
+                # the run: later engines and in-process builders resolve
+                # what they resolved before it.
                 self.store.release()
                 clear_active_store()
-                if self.store.directory is None:
-                    os.environ.pop(STORE_SHM_ENV, None)
+                if store_dir_env is None:
+                    os.environ.pop(STORE_DIR_ENV, None)
+                else:
+                    os.environ[STORE_DIR_ENV] = store_dir_env
             self.telemetry.wall_seconds += time.perf_counter() - start
             self.telemetry.publish()
             snap = self.telemetry.snapshot()
@@ -3228,13 +3159,6 @@ def _switch(raw: str) -> bool:
     return text in _ON
 
 
-def _scheduler(raw: str) -> str:
-    text = raw.lower()
-    if text not in SCHEDULERS:
-        raise ValueError(raw)
-    return text
-
-
 #: Every engine setting, one row each: ``name: (env var, parser,
 #: accepted forms, default)``. ``name`` is the :func:`engine_from_env`
 #: keyword — and the ``dest`` of the CLI flag, where there is one —
@@ -3249,7 +3173,6 @@ ENGINE_SETTINGS: dict[str, tuple[str, Callable[[str], Any], str, Any]] = {
     "stall_timeout": (
         "REPRO_STALL_TIMEOUT", _seconds, f"{_SECS} (0 = from the timeout)", 0.0
     ),
-    "scheduler": ("REPRO_SCHED", _scheduler, " or ".join(SCHEDULERS), "steal"),
     "batch_cells": (
         "REPRO_BATCH_CELLS", _count, f"{_INT} (0 = auto, 1 = per cell)", 0
     ),
@@ -3303,7 +3226,7 @@ def engine_from_env(
     * the precompute store, unless ``precompute`` is off, is
       ``store_dir``, else ``<cache-dir>/store`` (even with the result
       cache off: the store memoizes cell *inputs*, not results), else
-      shared memory.
+      there is no store and cells build their inputs in-process.
 
     ``REPRO_FAULTS`` adds a chaos plan (:mod:`repro.harness.faults`).
     Turning ``precompute`` off while ``REPRO_PRECOMPUTE`` explicitly
@@ -3337,7 +3260,8 @@ def engine_from_env(
         store_dir = setting("store_dir")
         if store_dir is None and cache_dir is not None:
             store_dir = Path(cache_dir) / "store"
-        store = PrecomputeStore(store_dir)  # no directory: shared memory
+        if store_dir is not None:
+            store = PrecomputeStore(store_dir)
     elif _env_setting("precompute"):  # the flag turned it off
         raise ConfigurationError(
             f"--no-precompute-store conflicts with {PRECOMPUTE_ENV}="
@@ -3356,7 +3280,6 @@ def engine_from_env(
         faults=faults_from_env(),
         progress=progress,
         store=store,
-        scheduler=setting("scheduler"),
         batch_cells=setting("batch_cells"),
         stack_lanes=setting("stack_lanes"),
     )

@@ -252,16 +252,6 @@ class FaultPlan:
         ):
             os._exit(CRASH_EXIT_CODE)
 
-    @staticmethod
-    def corrupt_file(path: str | Path) -> None:
-        """Garble a file the way a torn write would: truncate mid-payload."""
-        path = Path(path)
-        try:
-            data = path.read_bytes()
-            path.write_bytes(data[: max(1, len(data) // 2)])
-        except OSError:
-            pass
-
 
 def _subsystem(value: str, kind: str) -> str:
     if value not in IO_SUBSYSTEMS:

@@ -123,7 +123,7 @@ class JournalEntry:
 class RunJournal:
     """Append-only JSONL journal of campaign cell outcomes.
 
-    By default records are flushed and fsync'd as they are written:
+    Records are flushed and fsync'd as they are written:
     once the engine has reported a cell finished, that outcome survives
     SIGKILL. With ``batch_entries > 1`` the same guarantee is kept via
     group commit — see the module docstring.
@@ -133,7 +133,6 @@ class RunJournal:
         self,
         path: str | Path,
         *,
-        fsync: bool = True,
         batch_entries: int = 1,
         linger_seconds: float = 0.0,
         faults: "FaultPlan | None" = None,
@@ -143,7 +142,6 @@ class RunJournal:
         if linger_seconds < 0:
             raise ConfigurationError("linger_seconds must be >= 0")
         self.path = Path(path)
-        self.fsync = fsync
         self.batch_entries = batch_entries
         self.linger_seconds = linger_seconds
         #: Fault plan consulted at each flush (``journal-batch-crash``);
@@ -197,8 +195,7 @@ class RunJournal:
         try:
             handle.write("".join(lines))
             handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         except OSError as exc:
             raise JournalError(f"cannot append to journal {self.path}: {exc}")
 

@@ -1,6 +1,6 @@
 """Perf regression check against the committed performance baselines.
 
-Four benchmark drivers record machine-independent *speedup ratios* at the
+Three benchmark drivers record machine-independent *speedup ratios* at the
 repository root (absolute wall-clock depends on the host; the ratio of
 two modes measured back-to-back on the same machine does not, to first
 order):
@@ -11,12 +11,8 @@ order):
   (``"kind": "store"``): a multi-mix campaign with the precompute store
   disabled vs cold vs warm;
 * ``benchmarks/bench_campaign.py`` → ``BENCH_campaign.json``
-  (``"kind": "campaign"``): a skewed-cost campaign under legacy per-cell
-  fifo dispatch vs the work-stealing scheduler (per-cell and batched);
-* ``benchmarks/bench_overhead.py`` → ``BENCH_overhead.json``
-  (``"kind": "overhead"``): a control-plane-bound campaign of trivial
-  cells under per-cell journal fsync + per-file cache writes vs the
-  group-commit journal + packed cache segments (cold and warm).
+  (``"kind": "campaign"``): a skewed-cost campaign under per-cell
+  dispatch vs chunked dispatch and lane stacking.
 
 A regression is flagged when a freshly measured speedup falls more than
 ``tolerance`` (default 30%) below the committed baseline's — i.e. the
@@ -57,11 +53,6 @@ CAMPAIGN_BASELINE_PATH = (
     Path(__file__).resolve().parents[3] / "BENCH_campaign.json"
 )
 
-#: The committed baseline written by ``benchmarks/bench_overhead.py``.
-OVERHEAD_BASELINE_PATH = (
-    Path(__file__).resolve().parents[3] / "BENCH_overhead.json"
-)
-
 #: Allowed fractional loss of speedup before a measurement is a regression.
 DEFAULT_TOLERANCE = 0.30
 
@@ -93,19 +84,9 @@ def _speedups(payload: dict) -> dict[str, float]:
             "store/warm": float(payload["warm"]["speedup"]),
         }
     if payload.get("kind") == "campaign":
-        out = {
-            "campaign/stolen": float(payload["stolen"]["speedup"]),
-            "campaign/batched": float(payload["batched"]["speedup"]),
-        }
-        # Lane stacking landed after the first committed baselines;
-        # older payloads simply lack the arm (compare() intersects).
-        if "stacked" in payload:
-            out["campaign/stacked"] = float(payload["stacked"]["speedup"])
-        return out
-    if payload.get("kind") == "overhead":
         return {
-            "overhead/fastpath": float(payload["grouped"]["speedup"]),
-            "overhead/warm": float(payload["grouped"]["warm_speedup"]),
+            "campaign/batched": float(payload["batched"]["speedup"]),
+            "campaign/stacked": float(payload["stacked"]["speedup"]),
         }
     out = {"raw_kernel": float(payload["raw_kernel"]["speedup"])}
     for scheme, cell in payload["end_to_end"]["cells"].items():
@@ -124,13 +105,7 @@ def _identity_failures(payload: dict) -> list[str]:
     if payload.get("kind") == "campaign":
         return [
             f"campaign/{mode}"
-            for mode in ("percell", "stolen", "batched", "stacked")
-            if mode in payload and not payload[mode].get("identical", False)
-        ]
-    if payload.get("kind") == "overhead":
-        return [
-            f"overhead/{mode}"
-            for mode in ("percell", "grouped")
+            for mode in ("stolen", "batched", "stacked")
             if not payload[mode].get("identical", False)
         ]
     return [
@@ -203,8 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="committed baseline (default: the committed file matching the "
         f"current payload's kind — {BASELINE_PATH.name}, "
-        f"{STORE_BASELINE_PATH.name}, {CAMPAIGN_BASELINE_PATH.name}, "
-        f"or {OVERHEAD_BASELINE_PATH.name})",
+        f"{STORE_BASELINE_PATH.name}, or {CAMPAIGN_BASELINE_PATH.name})",
     )
     parser.add_argument(
         "--current",
@@ -225,7 +199,6 @@ def main(argv: list[str] | None = None) -> int:
         baseline_path = {
             "store": STORE_BASELINE_PATH,
             "campaign": CAMPAIGN_BASELINE_PATH,
-            "overhead": OVERHEAD_BASELINE_PATH,
         }.get(current.get("kind"), BASELINE_PATH)
     baseline = load_bench(baseline_path)
     regressions = compare(current, baseline, args.tolerance)

@@ -8,7 +8,6 @@ import pytest
 from repro.__main__ import build_engine, build_parser, main
 from repro.errors import ConfigurationError
 from repro.harness.exec import ENGINE_SETTINGS, ExecutionEngine, engine_from_env
-from repro.harness.store import STORE_SHM_ENV
 from repro.obs.trace import TRACE_ENV
 
 
@@ -229,7 +228,6 @@ SETTING_CASES = {
         "0.5", "0.5", ["--heartbeat", "0"], attrgetter("heartbeat")
     ),
     "REPRO_STALL_TIMEOUT": ("4", None, None, attrgetter("stall_timeout")),
-    "REPRO_SCHED": ("FIFO", "fifo", ["--sched", "steal"], attrgetter("scheduler")),
     "REPRO_BATCH_CELLS": (
         "4", "4", ["--batch-cells", "1"], attrgetter("batch_cells")
     ),
@@ -265,8 +263,7 @@ class TestEngineSettings:
         monkeypatch.chdir(tmp_path)
         for env, *_ in ENGINE_SETTINGS.values():
             monkeypatch.delenv(env, raising=False)
-        for env in (STORE_SHM_ENV, "REPRO_FAULTS"):
-            monkeypatch.delenv(env, raising=False)
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         # Both entry points resolve the same cache directory.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 

@@ -149,9 +149,11 @@ class TestResultCache:
         assert ResultCache(tmp_path).get(key)["value"] == 2
 
     def test_legacy_per_file_entries_remain_readable(self, tmp_path):
-        writer = ResultCache(tmp_path, layout="files")
+        writer = ResultCache(tmp_path)
         key = "fe" * 32
-        writer.put(key, {"value": {"ipc": 3.5}})
+        path = writer._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(writer._encode_entry(key, {"value": {"ipc": 3.5}}))
         assert writer._path(key).exists()
         reader = ResultCache(tmp_path)  # default packed layout
         assert reader.get(key)["value"] == {"ipc": 3.5}

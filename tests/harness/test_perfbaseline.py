@@ -29,45 +29,21 @@ def payload(raw_speedup=4.0, cells=None, fmt=1):
     }
 
 
-def campaign_payload(stolen=1.8, batched=2.0, identical=True):
+def campaign_payload(batched=2.0, stacked=2.5, identical=True):
     return {
         "format": 1,
         "kind": "campaign",
         "quick": False,
         "reps": 3,
-        "percell": {"seconds": 4.0, "identical": identical},
-        "stolen": {
-            "seconds": 4.0 / stolen,
-            "speedup": stolen,
-            "identical": identical,
-        },
+        "stolen": {"seconds": 4.0, "identical": identical},
         "batched": {
             "seconds": 4.0 / batched,
             "speedup": batched,
             "identical": identical,
         },
-    }
-
-
-def overhead_payload(speedup=6.0, warm=3.5, identical=True):
-    return {
-        "format": 1,
-        "kind": "overhead",
-        "quick": False,
-        "reps": 3,
-        "off": {"seconds": 0.1, "cells_per_sec": 20000.0},
-        "percell": {
-            "seconds": 2.0,
-            "cells_per_sec": 1000.0,
-            "warm_seconds": 1.0,
-            "identical": identical,
-        },
-        "grouped": {
-            "seconds": 2.0 / speedup,
-            "cells_per_sec": 1000.0 * speedup,
-            "speedup": speedup,
-            "warm_seconds": 1.0 / warm,
-            "warm_speedup": warm,
+        "stacked": {
+            "seconds": 4.0 / stacked,
+            "speedup": stacked,
             "identical": identical,
         },
     }
@@ -115,32 +91,19 @@ class TestCompare:
     def test_campaign_kind_compares_its_own_measurements(self):
         assert compare(campaign_payload(), campaign_payload()) == []
         regressions = compare(
-            campaign_payload(stolen=0.9), campaign_payload(), tolerance=0.30
+            campaign_payload(batched=1.0), campaign_payload(), tolerance=0.30
         )
-        assert [r.measurement for r in regressions] == ["campaign/stolen"]
+        assert [r.measurement for r in regressions] == ["campaign/batched"]
+        regressions = compare(
+            campaign_payload(stacked=1.0), campaign_payload(), tolerance=0.30
+        )
+        assert [r.measurement for r in regressions] == ["campaign/stacked"]
 
     def test_campaign_identity_failure_outranks_timing(self):
         current = campaign_payload()
         current["batched"]["identical"] = False
         regressions = compare(current, campaign_payload())
         assert any(r.measurement == "campaign/batched" for r in regressions)
-        assert any("non-identical" in str(r) for r in regressions)
-
-    def test_overhead_kind_compares_its_own_measurements(self):
-        assert compare(overhead_payload(), overhead_payload()) == []
-        regressions = compare(
-            overhead_payload(speedup=2.0), overhead_payload(), tolerance=0.30
-        )
-        assert [r.measurement for r in regressions] == ["overhead/fastpath"]
-        regressions = compare(
-            overhead_payload(warm=1.0), overhead_payload(), tolerance=0.30
-        )
-        assert [r.measurement for r in regressions] == ["overhead/warm"]
-
-    def test_overhead_identity_failure_outranks_timing(self):
-        current = overhead_payload(identical=False)
-        regressions = compare(current, overhead_payload())
-        assert any(r.measurement == "overhead/grouped" for r in regressions)
         assert any("non-identical" in str(r) for r in regressions)
 
     def test_cross_kind_comparison_rejected(self):

@@ -1,11 +1,10 @@
 """Cell-major batching and the work-stealing supervisor scheduler.
 
-Pins the PR's scheduling guarantees:
+Pins the scheduling guarantees:
 
 * **Chunking** — batch-compatible cells are dispatched as chunks
   (``batch_cells`` explicit or auto-sized per group), with per-chunk
-  ``batch.dispatch`` events and exact batches/batched-cells telemetry;
-  the ``fifo`` scheduler keeps legacy per-cell dispatch.
+  ``batch.dispatch`` events and exact batches/batched-cells telemetry.
 * **Work stealing** — a worker that drains its deque steals from the
   most loaded peer, rescuing campaigns whose cost estimates inverted
   reality; ``cell.steal`` trace events match the ``steals`` counter.
@@ -199,25 +198,9 @@ class TestChunking:
         assert snap["batches"] == 5
         assert snap["batched_cells"] == 5
 
-    def test_fifo_scheduler_dispatches_per_cell(self, monkeypatch, tmp_path):
-        sink = tmp_path / "trace.jsonl"
-        monkeypatch.setenv(TRACE_ENV, str(sink))
-        cells = [BatchableCell(i, 0.0, hint=1.0) for i in range(6)]
-        engine = ExecutionEngine(jobs=2, scheduler="fifo")
-        outcomes = engine.run(cells)
-        assert all(o.status == "computed" for o in outcomes)
-        snap = engine.telemetry.snapshot()
-        assert snap["batches"] == 6
-        assert snap["batched_cells"] == 6
-        assert snap["steals"] == 0
-        assert not read_events(sink, "batch.dispatch")
-        assert not read_events(sink, "cell.steal")
-
-    def test_unknown_scheduler_rejected(self):
+    def test_negative_batch_cells_rejected(self):
         from repro.errors import ConfigurationError
 
-        with pytest.raises(ConfigurationError):
-            ExecutionEngine(jobs=2, scheduler="lifo")
         with pytest.raises(ConfigurationError):
             ExecutionEngine(jobs=2, batch_cells=-1)
 

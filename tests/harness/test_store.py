@@ -2,15 +2,16 @@
 
 The guarantees the campaign path depends on:
 
-* **Bit-identity** — arrays served from either backend (file mmap or
-  shared memory) and Rmax entries round-tripped through the JSON
-  artifact are byte-for-byte what the legacy build path produces, for
-  any ``(spec, crypto, scale, seed, secret)``.
+* **Bit-identity** — arrays served from the store (file mmap) and Rmax
+  entries round-tripped through the JSON artifact are byte-for-byte
+  what the legacy build path produces, for any ``(spec, crypto, scale,
+  seed, secret)``.
 * **Cross-process reattach** — a process with *no inherited Python
   state* (the spawn / respawned-worker case) resolves the same store
   from the environment and attaches without rebuilding.
-* **Teardown** — shared-memory segments are unlinked on every engine
-  exit path, the SIGINT path included; no ``/dev/shm`` leak.
+* **Teardown** — every engine exit path, the SIGINT path included,
+  deactivates the store and restores ``REPRO_STORE_DIR``, so no later
+  engine or in-process builder resolves a finished run's store.
 * **Integrity** — corrupt artifacts are quarantined (``*.corrupt``) and
   recomputed, never trusted or silently re-read.
 * **Accounting** — a warm campaign reports zero workload compositions
@@ -47,7 +48,6 @@ from repro.harness.sensitivity import build_spec_only_stream_direct
 from repro.harness.store import (
     PRECOMPUTE_ENV,
     STORE_DIR_ENV,
-    STORE_SHM_ENV,
     PrecomputeStore,
     cached_build_workload,
     cached_spec_stream,
@@ -84,7 +84,7 @@ CHILD = Path(__file__).with_name("_store_child.py")
 def _clean_store_state(monkeypatch):
     """Every test starts with no active store, no env overrides, and an
     empty rate-table memoizer (both are process-global)."""
-    for name in (PRECOMPUTE_ENV, STORE_DIR_ENV, STORE_SHM_ENV):
+    for name in (PRECOMPUTE_ENV, STORE_DIR_ENV):
         monkeypatch.delenv(name, raising=False)
     clear_active_store()
     clear_rate_table_cache()
@@ -106,10 +106,6 @@ def assert_arrays_equal(a: dict[str, np.ndarray], b: dict[str, np.ndarray]):
     for name in a:
         assert a[name].dtype == b[name].dtype, name
         assert np.array_equal(np.asarray(a[name]), np.asarray(b[name])), name
-
-
-def shm_segments(token: str) -> list[Path]:
-    return sorted(Path("/dev/shm").glob(f"repro-{token}-*"))
 
 
 # ----------------------------------------------------------------------
@@ -205,55 +201,9 @@ class TestBitIdentity:
         assert np.array_equal(direct.stream.addresses, legacy.stream.addresses)
 
 
-class TestShmBackend:
-    def test_round_trip_and_unlink_on_release(self):
-        store = PrecomputeStore()  # shared-memory backend
-        token_str = store._backend.token
-        built = compose_workload_arrays(SPEC, CRYPTO, SCALE, seed=0)
-        served = store.trace_arrays(
-            workload_token(SPEC, CRYPTO, SCALE, 0, 0), lambda: built
-        )
-        assert_arrays_equal(built, served)
-        assert shm_segments(token_str), "segment should exist while attached"
-        store.release()
-        assert shm_segments(token_str) == [], "release must unlink segments"
-        # Views handed out before release stay readable: the mapping is
-        # kept alive by the views themselves (name already unlinked).
-        assert int(np.asarray(served["addresses"])[:16].sum()) == int(
-            built["addresses"][:16].sum()
-        )
-
-    def test_non_owner_never_creates_segments(self):
-        attached = PrecomputeStore(shm_token="feedface")
-        built = compose_workload_arrays(SPEC, CRYPTO, SCALE, seed=0)
-        served = attached.trace_arrays(
-            workload_token(SPEC, CRYPTO, SCALE, 0, 0), lambda: built
-        )
-        assert_arrays_equal(built, served)
-        assert shm_segments("feedface") == []
-
-    def test_spawned_process_reattaches_by_name(self):
-        """A fresh interpreter (the spawn worker case) attaches via
-        REPRO_STORE_SHM without rebuilding, byte-identically — and its
-        exit must not unlink the owner's segment (resource tracker)."""
-        store = PrecomputeStore()
-        token_str = store._backend.token
-        built = ensure_workload_trace(store, SPEC, CRYPTO, SCALE, 0)
-        try:
-            report = _run_child({STORE_SHM_ENV: token_str})
-            assert report["sha256"] == arrays_checksum(built)
-            assert report["hits"] == 1 and report["misses"] == 0
-            assert report["builds"] == 0
-            # The child exited; the owner's segment must still be live.
-            assert shm_segments(token_str)
-        finally:
-            store.release()
-        assert shm_segments(token_str) == []
-
-
 def _run_child(env_overrides: dict[str, str]) -> dict:
     env = dict(os.environ)
-    for name in (PRECOMPUTE_ENV, STORE_DIR_ENV, STORE_SHM_ENV):
+    for name in (PRECOMPUTE_ENV, STORE_DIR_ENV):
         env.pop(name, None)
     env.update(env_overrides)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
@@ -435,12 +385,6 @@ class TestActiveStoreResolution:
         monkeypatch.setenv(PRECOMPUTE_ENV, "off")
         assert get_active_store() is None
 
-    def test_shm_token_resolves_attaching_store(self, monkeypatch):
-        monkeypatch.setenv(STORE_SHM_ENV, "cafecafe")
-        store = get_active_store()
-        assert store is not None and store.directory is None
-        assert store._backend.owner is False
-
 
 class TestEngineFromEnvStore:
     def test_store_survives_result_cache_off(self, monkeypatch, tmp_path):
@@ -462,11 +406,17 @@ class TestEngineFromEnvStore:
         engine = engine_from_env()
         assert engine.store.directory == tmp_path / "elsewhere"
 
-    def test_no_directory_falls_back_to_shared_memory(self, monkeypatch):
+    def test_no_directory_means_no_store(self, monkeypatch, tmp_path):
+        """With no store dir and no cache dir there is no store: cells
+        build in-process, bit-identically to a file-store run."""
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         engine = engine_from_env()
-        assert engine.store is not None
-        assert engine.store.directory is None
+        assert engine.store is None
+        storeless = _encodes(engine.run(_cells()))
+        clear_rate_table_cache()
+        filed = ExecutionEngine(store=PrecomputeStore(tmp_path / "s"))
+        assert _encodes(filed.run(_cells())) == storeless
+        assert filed.telemetry.snapshot()["store_trace_misses"] == 1
 
     def test_malformed_precompute_rejected(self, monkeypatch):
         monkeypatch.setenv(PRECOMPUTE_ENV, "sometimes")
@@ -485,7 +435,6 @@ class TestCli:
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv(PRECOMPUTE_ENV, raising=False)
-        monkeypatch.delenv(STORE_SHM_ENV, raising=False)
         leftover = tmp_path / "leftover-store"
         monkeypatch.setenv(STORE_DIR_ENV, str(leftover))
         before = dict(os.environ)
@@ -558,7 +507,6 @@ class TestEngineIntegration:
         clear_rate_table_cache()
         clear_active_store()
         os.environ.pop(STORE_DIR_ENV, None)
-        os.environ.pop(STORE_SHM_ENV, None)
         engine = ExecutionEngine(jobs=1)
         encodes = _encodes(engine.run(_cells()))
         clear_rate_table_cache()
@@ -621,24 +569,25 @@ class TestEngineIntegration:
         assert _encodes(outcomes) == baseline
 
 
-class _InterruptCell:
-    """Serial cell that populates a trace need, then simulates Ctrl-C."""
+class _ProbeCell:
+    """Serial cell that records the store in effect while it runs."""
 
-    label = "interrupt[probe]"
+    label = "store[probe]"
 
     def __init__(self, observed: list):
         self.observed = observed
 
     def cache_token(self):
-        return {"kind": "interrupt-probe"}
+        return {"kind": "store-probe"}
 
     def store_needs(self):
         return [("trace", SPEC, CRYPTO, SCALE, 0)]
 
     def execute(self):
-        store = get_active_store()
-        self.observed.append(shm_segments(store._backend.token))
-        raise KeyboardInterrupt
+        self.observed.append(
+            (get_active_store(), os.environ.get(STORE_DIR_ENV))
+        )
+        return 1.0
 
     @staticmethod
     def cycles_of(value):
@@ -653,21 +602,45 @@ class _InterruptCell:
         return None
 
 
+class _InterruptCell(_ProbeCell):
+    """Probe cell that then simulates Ctrl-C."""
+
+    def execute(self):
+        super().execute()
+        raise KeyboardInterrupt
+
+
 class TestTeardown:
-    def test_sigint_path_unlinks_shared_memory(self):
-        store = PrecomputeStore()  # shm backend
-        token_str = store._backend.token
+    def test_sigint_path_clears_store_and_restores_env(
+        self, tmp_path, monkeypatch
+    ):
+        previous = str(tmp_path / "previous")
+        monkeypatch.setenv(STORE_DIR_ENV, previous)
+        store = PrecomputeStore(tmp_path / "s")
         observed: list = []
         engine = ExecutionEngine(jobs=1, retries=0, store=store)
         with pytest.raises(CampaignInterrupted):
             engine.run([_InterruptCell(observed)])
-        # Populate really placed the trace in shared memory mid-run...
-        assert observed and observed[0]
-        # ...and the interrupt path unlinked every segment and scrubbed
-        # the env so no later worker reattaches to a dead name.
-        assert shm_segments(token_str) == []
-        assert STORE_SHM_ENV not in os.environ
+        # Populate really activated and exported the store mid-run...
+        assert observed == [(store, str((tmp_path / "s").resolve()))]
+        assert list((tmp_path / "s" / "traces").rglob("meta.json"))
+        # ...and the interrupt path deactivated it and gave the caller
+        # back its own REPRO_STORE_DIR.
+        assert os.environ[STORE_DIR_ENV] == previous
+        resolved = get_active_store()
+        assert resolved is not store
+        assert resolved.directory == Path(previous)
         assert engine.telemetry.interrupted
+
+    def test_run_leaves_no_store_dir_behind(self, tmp_path):
+        """After one engine's run, the next engine still places its
+        store by the rule (REPRO_STORE_DIR, else <cache-dir>/store)."""
+        first = engine_from_env(default_cache_dir=tmp_path / "a")
+        first.run([_ProbeCell([])])
+        assert STORE_DIR_ENV not in os.environ
+        assert get_active_store() is None
+        second = engine_from_env(default_cache_dir=tmp_path / "b")
+        assert second.store.directory == tmp_path / "b" / "store"
 
 
 # ----------------------------------------------------------------------

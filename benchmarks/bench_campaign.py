@@ -1,5 +1,5 @@
-"""Campaign dispatch benchmark: per-cell vs chunked dispatch and lane
-stacking through the work-stealing supervisor.
+"""Campaign dispatch benchmark: per-cell vs chunked dispatch through
+the work-stealing supervisor.
 
 Measures what chunked dispatch (``repro.harness.exec``) buys on a
 skewed campaign and writes the results to ``BENCH_campaign.json`` at
@@ -12,19 +12,7 @@ the repository root:
   first seeding onto per-worker deques plus steal-on-idle, one cell
   per dispatch — the baseline the speedups are measured against;
 * **batched** — ``batch_cells=8``: a whole batch group rides in one
-  chunk to one worker, sharing that process's scratch arena and
-  memoizers;
-* **stacked** — the batched configuration plus ``stack_lanes=0``: each
-  chunk's cells run as interleaved *lanes* of one vectorized kernel
-  pass (:class:`repro.sim.batch.StackedLanes`), sharing workload
-  builds and servicing every lane's cumulative sums with single 2-D
-  ``np.cumsum`` calls, and the supervisor pre-computes shared pure
-  state (L1 service traces, untangle rate tables) in the parent before
-  forking, so every worker inherits it copy-on-write instead of
-  recomputing it. Like batching, the win is less total work (shared
-  builds, fewer interpreter/numpy round trips), so it survives a
-  single-core host; results stay bit-identical to serial, lane
-  divergences and all.
+  chunk to one worker, sharing that process's memoizers.
 
 The campaign is deliberately skewed in *per-cell setup cost*: the
 untangle cells lead the grid, and the first untangle cell in each
@@ -43,8 +31,8 @@ are pinned deterministically by ``tests/harness/test_scheduler.py``.
 Methodology matches ``bench_store.py``: every measurement runs in a
 fresh child interpreter (clean memoizers and metrics), repetitions are
 interleaved so all modes see the same machine drift, and the per-mode
-minimum is reported. The recorded *speedups* (stolen/batched and
-stolen/stacked on the same host) are the machine-independent
+minimum is reported. The recorded *speedup* (stolen/batched on the
+same host) is the machine-independent
 quantities the perf regression check (:mod:`repro.harness.perfbaseline`,
 CI ``perf-smoke`` job) compares. All modes must be bit-identical to
 the serial reference, and every mode's telemetry must satisfy
@@ -93,7 +81,6 @@ MODES: dict[str, dict] = {
     "serial": {"jobs": 1},
     "stolen": {"jobs": JOBS, "batch_cells": 1},
     "batched": {"jobs": JOBS, "batch_cells": 8},
-    "stacked": {"jobs": JOBS, "batch_cells": 8, "stack_lanes": 0},
 }
 
 #: Scheduling telemetry shipped from the child for the report.
@@ -101,8 +88,6 @@ TELEMETRY_KEYS = (
     "steals",
     "batches",
     "batched_cells",
-    "stacked_cells",
-    "lane_divergences",
     "wall_seconds",
 )
 
@@ -166,11 +151,6 @@ def run_campaign(mode: str, quick: bool) -> dict:
         != snap["total"]
     ):
         raise AssertionError(f"telemetry invariant violated: {snap}")
-    if mode == "stacked" and snap["stacked_cells"] != snap["total"]:
-        raise AssertionError(
-            "stacked mode left cells outside the lane stacks: "
-            f"{snap['stacked_cells']}/{snap['total']}"
-        )
     return {
         "wall": wall,
         "fingerprint": {
@@ -199,7 +179,6 @@ def _measure(mode: str, quick: bool) -> dict:
     for name in (
         "REPRO_JOBS",
         "REPRO_BATCH_CELLS",
-        "REPRO_SIM_STACK",
         "REPRO_CACHE",
         "REPRO_CACHE_DIR",
         "REPRO_RESUME",
@@ -224,9 +203,7 @@ def _measure(mode: str, quick: bool) -> dict:
 
 
 def bench_campaign(quick: bool, reps: int) -> dict:
-    walls: dict[str, list[float]] = {
-        "stolen": [], "batched": [], "stacked": []
-    }
+    walls: dict[str, list[float]] = {"stolen": [], "batched": []}
     telemetry: dict[str, dict] = {}
     fingerprints: list = []
 
@@ -236,7 +213,7 @@ def bench_campaign(quick: bool, reps: int) -> dict:
     print(f"  serial reference {serial['wall']:6.2f}s", flush=True)
 
     for rep in range(reps):
-        for mode in ("stolen", "batched", "stacked"):
+        for mode in ("stolen", "batched"):
             report = _measure(mode, quick)
             walls[mode].append(report["wall"])
             telemetry[mode] = report["telemetry"]
@@ -256,7 +233,6 @@ def bench_campaign(quick: bool, reps: int) -> dict:
 
     stolen = min(walls["stolen"])
     batched = min(walls["batched"])
-    stacked = min(walls["stacked"])
     return {
         "campaign": {
             "profile": "bench",
@@ -278,22 +254,13 @@ def bench_campaign(quick: bool, reps: int) -> dict:
             "identical": identical,
             "telemetry": telemetry["batched"],
         },
-        "stacked": {
-            "seconds": stacked,
-            "speedup": stolen / stacked,
-            # The headline ratio for the stacked-lanes layer: what
-            # stacking buys over the already-chunked configuration.
-            "speedup_vs_batched": batched / stacked,
-            "identical": identical,
-            "telemetry": telemetry["stacked"],
-        },
     }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark campaign dispatch: per-cell vs chunked "
-        "dispatch and lane stacking."
+        "dispatch."
     )
     parser.add_argument(
         "--quick",
@@ -328,20 +295,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     results = bench_campaign(args.quick, reps)
 
-    for mode in ("stolen", "batched", "stacked"):
+    for mode in ("stolen", "batched"):
         entry = results[mode]
         speedup = (
             f"  speedup={entry['speedup']:5.2f}x" if "speedup" in entry else ""
         )
-        vs_batched = (
-            f"  vs-batched={entry['speedup_vs_batched']:5.2f}x"
-            if "speedup_vs_batched" in entry
-            else ""
-        )
-        print(
-            f"  {mode:8s} {entry['seconds']:6.2f}s{speedup}{vs_batched}",
-            flush=True,
-        )
+        print(f"  {mode:8s} {entry['seconds']:6.2f}s{speedup}", flush=True)
 
     payload = {
         "format": FORMAT_VERSION,

@@ -131,16 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--stack-lanes",
-        metavar="K",
-        help=(
-            "lane-stacked multi-cell execution: run batch-compatible "
-            "cells as interleaved lanes of one vectorized kernel pass "
-            "(0 = auto lane count, K = cap stacks at K lanes; "
-            "default off; also: REPRO_SIM_STACK)"
-        ),
-    )
-    parser.add_argument(
         "--cache-dir",
         help=(
             f"on-disk result cache directory (default: {DEFAULT_CACHE_DIR}; "
@@ -267,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "conform",
         help=(
             "scheme conformance battery: P1/P2 principles, action-leakage, "
-            "kernel bit-identity, lane stacking, store tokens, telemetry"
+            "kernel bit-identity, store tokens, telemetry"
         ),
     )
     conform.add_argument(

@@ -110,7 +110,6 @@ from repro.harness.store import (
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.liveness import progress_beat, progress_value
-from repro.sim.batch import cell_scratch
 
 #: Bump when the cached payload layout or the simulator's semantics
 #: change incompatibly; old entries are then quarantined, not misread.
@@ -254,56 +253,13 @@ class MixSchemeCell:
             scheme_params=dict(self.scheme_params) or None,
         )
 
-    @staticmethod
-    def execute_stacked(cells: list["MixSchemeCell"], max_lanes: int | None = None) -> list:
-        """Execute a batch-compatible chunk of cells as stacked lanes.
-
-        The chunk driver calls this instead of per-cell :meth:`execute`
-        when lane stacking is enabled. Returns one result (or exception
-        instance, for an isolated lane failure) per cell, in order —
-        bit-identical to the sequential path
-        (``tests/sim/test_stacked_lanes.py``).
-        """
-        from repro.harness.experiment import run_mix_schemes_stacked
-
-        return run_mix_schemes_stacked(
-            [
-                (list(cell.pairs), cell.scheme, cell.profile,
-                 cell.scheme_params)
-                for cell in cells
-            ],
-            max_lanes=max_lanes,
-        )
-
-    @staticmethod
-    def prefork_warm(cells: list["MixSchemeCell"]) -> int:
-        """Pre-compute shared pure state in the dispatching process.
-
-        The supervisor calls this once, right before forking workers,
-        when lane stacking is enabled: L1 service traces and untangle
-        rate tables are pure functions of the cell inputs, so one
-        walk/solve here is inherited copy-on-write by every worker
-        instead of being repeated per worker that draws a chunk needing
-        it. Purely an optimization — results are identical without it.
-        """
-        from repro.harness.experiment import warm_l1_traces, warm_rate_tables
-
-        warmed = warm_l1_traces(
-            [(list(cell.pairs), cell.profile) for cell in cells]
-        )
-        warmed += warm_rate_tables(
-            [(cell.scheme, cell.profile, cell.scheme_params)
-             for cell in cells]
-        )
-        return warmed
-
     def batch_group(self) -> tuple:
         """Chunk-compatibility key for cell-major batching.
 
         Cells sharing a scheme (including parameter overrides) and
         profile have comparable runtimes and identical store needs, so
-        stacking them through one worker's shared scratch arena
-        amortizes well without creating stragglers inside a chunk.
+        chunking them through one worker amortizes dispatch without
+        creating stragglers inside a chunk.
         """
         return (
             "mix-scheme", self.scheme, self.profile.name,
@@ -1038,12 +994,6 @@ class EngineTelemetry:
     #: when ``batch_cells=1``; their ratio is the realized batch factor.
     batches_dispatched: int = 0
     batched_cells: int = 0
-    #: Cells executed inside stacked-lanes groups and the lane
-    #: divergences (assessments, early finishes) those groups saw —
-    #: absorbed from the ``repro_stacked_*`` counters, wherever the
-    #: lanes actually ran (serial driver or worker processes).
-    stacked_cells: int = 0
-    lane_divergences: int = 0
     #: Per-cell records retained for reporting. Successful cells are
     #: capped at :data:`MAX_RETAINED_RECORDS` (the overflow counted in
     #: :attr:`records_dropped`) so a 100k-cell campaign's telemetry
@@ -1138,8 +1088,6 @@ class EngineTelemetry:
             "steals": self.steals,
             "batches": self.batches_dispatched,
             "batched_cells": self.batched_cells,
-            "stacked_cells": self.stacked_cells,
-            "lane_divergences": self.lane_divergences,
             "records_dropped": self.records_dropped,
             "cell_seconds_p50": self.cell_seconds_stats.quantile(0.5),
             "cell_seconds_p90": self.cell_seconds_stats.quantile(0.9),
@@ -1165,8 +1113,6 @@ class EngineTelemetry:
         )
         self.workload_builds += int(delta.get("workload_builds", 0))
         self.rmax_solves += int(delta.get("rmax_solves", 0))
-        self.stacked_cells += int(delta.get("stacked_cells", 0))
-        self.lane_divergences += int(delta.get("lane_divergences", 0))
 
     def publish(self, registry=None) -> None:
         """Mirror the timing aggregates into the metrics registry.
@@ -1333,92 +1279,8 @@ def _execute_cell(
         return value, time.perf_counter() - start
 
 
-def _stackable(chunk, stack: int | None) -> bool:
-    """True when a chunk qualifies for lane-stacked execution.
-
-    Requires stacking enabled, at least two cells, and every cell of
-    the chunk implementing ``execute_stacked`` under one shared batch
-    group. Chunks are planned group-homogeneous, so the group check is
-    belt-and-braces against a stolen retry or a hand-built chunk.
-    """
-    if stack is None or len(chunk) < 2:
-        return False
-    first = chunk[0][1]
-    if getattr(type(first), "execute_stacked", None) is None:
-        return False
-    hook = getattr(first, "batch_group", None)
-    if hook is None:
-        return False
-    group = hook()
-    for _, cell in chunk[1:]:
-        if getattr(type(cell), "execute_stacked", None) is None:
-            return False
-        peer_hook = getattr(cell, "batch_group", None)
-        if peer_hook is None or peer_hook() != group:
-            return False
-    return True
-
-
-def _stacked_messages(chunk, faults, worker_id, stack: int):
-    """Run one batch-compatible chunk as stacked lanes; yield messages.
-
-    The whole chunk executes inside one ``execute_stacked`` call
-    (``stack == 0`` auto-sizes the lane count to the chunk), then one
-    result message per cell streams home in chunk order — the same
-    shape the sequential path sends, so supervisor accounting is
-    untouched. Per-cell wall is the chunk wall split evenly (lanes
-    genuinely interleave, so no truer attribution exists); the store
-    delta rides on the first message only, so absorbed totals match a
-    sequential run. A lane that raised is an ``error`` message for that
-    cell alone; a failure of the stacked driver itself fails every cell
-    of the chunk (the supervisor's retry path then re-runs them, most
-    as singletons).
-    """
-    cells = [cell for _, cell in chunk]
-    if faults is not None:
-        for cell in cells:
-            faults.on_cell_start(cell.label, worker_id)
-    start = time.perf_counter()
-    stats_before = store_stats_snapshot()
-    failure: str | None = None
-    results: list[Any] = []
-    with obs_trace.span(
-        "chunk.stacked", cells=len(cells), first=cells[0].label, worker=worker_id
-    ):
-        try:
-            results = maybe_profile(
-                cells[0].label,
-                lambda: type(cells[0]).execute_stacked(
-                    cells, max_lanes=stack if stack else None
-                ),
-                worker_id,
-            )
-        except Exception as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-    delta = store_stats_delta(stats_before, store_stats_snapshot())
-    wall = (time.perf_counter() - start) / len(cells)
-    for position, (index, _) in enumerate(chunk):
-        cell_delta = delta if position == 0 else {}
-        if failure is not None:
-            yield (index, "error", failure, wall, cell_delta)
-        elif isinstance(results[position], BaseException):
-            exc = results[position]
-            yield (
-                index,
-                "error",
-                f"{type(exc).__name__}: {exc}",
-                wall,
-                cell_delta,
-            )
-        else:
-            yield (index, "ok", results[position], wall, cell_delta)
-
-
-def _chunk_messages(chunk, faults, worker_id, stack: int | None):
-    """Yield one result message per cell of a chunk, stacking when able."""
-    if _stackable(chunk, stack):
-        yield from _stacked_messages(chunk, faults, worker_id, stack)
-        return
+def _chunk_messages(chunk, faults, worker_id):
+    """Yield one result message per cell of a chunk, in chunk order."""
     for index, cell in chunk:
         start = time.perf_counter()
         # Store/build/solve counters accumulate in *this* process's
@@ -1474,26 +1336,15 @@ def _worker_main(
     worker_id: int,
     faults: FaultPlan | None,
     heartbeat: float | None = None,
-    stack: int | None = None,
 ) -> None:
     """Worker loop: receive chunks of ``(index, cell)`` tasks, send back
     one result message per cell.
 
-    Cell-major batching: a chunk's cells run back-to-back under one
-    shared :func:`~repro.sim.batch.cell_scratch` arena, so the hot numpy
-    buffers of the cumsum/searchsorted cores are allocated once per
-    chunk instead of once per call. Results stream home *per cell* (the
+    Cell-major batching: a chunk's cells run back-to-back in one
+    worker, amortizing dispatch. Results stream home *per cell* (the
     message shape is unchanged from per-cell dispatch), so supervisor
     accounting, deadlines, and retry bookkeeping see individual cells —
     and results stay bit-identical to serial execution.
-
-    With ``stack`` set (engine ``stack_lanes``), a chunk whose cells
-    all support it instead executes as stacked lanes — one interleaved
-    pass over all cells (:class:`~repro.sim.batch.StackedLanes`) — and
-    its per-cell messages stream home when the stack drains. The
-    per-cell deadline then effectively covers the whole chunk, which is
-    sound: heartbeats carry simulation progress, so slow-but-working
-    stacks extend their deadline exactly like slow single cells.
 
     Liveness: with ``heartbeat`` set, a daemon thread interleaves
     ``("heartbeat", progress)`` tuples with the result stream (the send
@@ -1529,29 +1380,28 @@ def _worker_main(
                 return
             if chunk is None:
                 return
-            with cell_scratch():
-                for message in _chunk_messages(chunk, faults, worker_id, stack):
-                    # A finished cell is progress even if the cell's own
-                    # execution never beat (non-simulation cells).
-                    progress_beat()
+            for message in _chunk_messages(chunk, faults, worker_id):
+                # A finished cell is progress even if the cell's own
+                # execution never beat (non-simulation cells).
+                progress_beat()
+                try:
+                    with send_lock:
+                        conn.send(message)
+                except Exception as exc:  # e.g. an unpicklable result
                     try:
                         with send_lock:
-                            conn.send(message)
-                    except Exception as exc:  # e.g. an unpicklable result
-                        try:
-                            with send_lock:
-                                conn.send(
-                                    (
-                                        message[0],
-                                        "error",
-                                        "result not transferable: "
-                                        f"{type(exc).__name__}: {exc}",
-                                        message[3],
-                                        message[4],
-                                    )
+                            conn.send(
+                                (
+                                    message[0],
+                                    "error",
+                                    "result not transferable: "
+                                    f"{type(exc).__name__}: {exc}",
+                                    message[3],
+                                    message[4],
                                 )
-                        except Exception:
-                            return
+                            )
+                    except Exception:
+                        return
     finally:
         stop_beats.set()
 
@@ -1605,8 +1455,8 @@ class _Supervisor:
     — no failure can stall the round or leak a pool slot.
 
     Pending cells are grouped into batch-compatible *chunks* (cell-
-    major batching: one worker runs a run of cells under a shared
-    scratch arena) and seeded onto per-slot deques longest-expected-
+    major batching: one worker runs a run of cells back to back) and
+    seeded onto per-slot deques longest-expected-
     first (LPT, using journal runtime hints). A worker that drains its
     own deque steals the cheapest chunk from the most loaded peer, so
     one straggler slot cannot serialize the tail of a campaign.
@@ -1661,38 +1511,7 @@ class _Supervisor:
                     self._unresponsive_after, 0.6 * self._stall_kill
                 )
         self._next_worker_id = 0
-        if (
-            engine.stack_lanes is not None
-            and self.context.get_start_method() == "fork"
-        ):
-            self._prefork_warm(pending)
         self.workers = [self._spawn(slot) for slot in range(slots)]
-
-    def _prefork_warm(self, pending) -> None:
-        """Warm shareable per-cell precompute before the workers fork.
-
-        Cell types may expose ``prefork_warm(cells)`` to walk precompute
-        that is a pure function of the cell inputs (e.g. the L1 service
-        traces stacked lanes share). Doing it here, in the parent, makes
-        the warmed state copy-on-write-inherited by every worker instead
-        of recomputed per worker. Best-effort: a warming failure only
-        forfeits the head start, never the run.
-        """
-        by_type: dict[type, list] = {}
-        for _, cell, _ in pending:
-            if getattr(type(cell), "prefork_warm", None) is not None:
-                by_type.setdefault(type(cell), []).append(cell)
-        for cell_type, cells in by_type.items():
-            try:
-                warmed = cell_type.prefork_warm(cells)
-            except Exception as exc:  # noqa: BLE001 - warming is optional
-                obs_trace.event(
-                    "warm.failed", cell_type=cell_type.__name__, error=str(exc)
-                )
-            else:
-                obs_trace.event(
-                    "warm.prefork", cell_type=cell_type.__name__, warmed=warmed
-                )
 
     # ------------------------------------------------------------------
     # Chunk planning and deque seeding
@@ -1720,8 +1539,7 @@ class _Supervisor:
         are skewed (:attr:`SKEW_FACTOR`), the stragglers split off as
         singleton chunks instead of chunking purely by count — a chunk
         is a scheduling atom, so a straggler packed with cheap peers
-        would pin them all to one worker's lap (and hand the
-        stacked-lanes driver a chunk whose lanes finish wildly apart).
+        would pin them all to one worker's lap.
         Per-cell skew is only visible through per-label journal
         history; without it every cell in a group shares one estimate
         and the split never triggers.
@@ -1808,7 +1626,6 @@ class _Supervisor:
                 worker_id,
                 self.engine.faults,
                 self.engine.heartbeat,
-                self.engine.stack_lanes,
             ),
             daemon=True,
             name=f"repro-exec-{worker_id}",
@@ -2397,17 +2214,6 @@ class ExecutionEngine:
         Cells per dispatched chunk. ``None`` or ``0`` auto-sizes per
         batch group (see ``_Supervisor._plan_chunks``); ``1`` forces
         per-cell dispatch; larger values cap at :data:`MAX_BATCH_CELLS`.
-    stack_lanes:
-        Lane-stacked multi-cell execution
-        (:class:`~repro.sim.batch.StackedLanes`). ``None`` (default)
-        runs each chunk's cells sequentially; ``0`` stacks every
-        batch-compatible chunk with lane count auto-sized to the chunk;
-        ``K >= 1`` caps each stack at K lanes. Stacking applies only to
-        cells that implement ``execute_stacked`` and share a batch
-        group — anything else silently falls back to the sequential
-        path. Results are bit-identical either way (the stacked cumsum
-        performs the same per-lane float chain; see
-        ``docs/performance.md`` layer 4).
     """
 
     def __init__(
@@ -2427,7 +2233,6 @@ class ExecutionEngine:
         progress: Callable[[str], None] | None = None,
         store: PrecomputeStore | None = None,
         batch_cells: int | None = None,
-        stack_lanes: int | None = None,
     ):
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
@@ -2448,13 +2253,9 @@ class ExecutionEngine:
             raise ConfigurationError("backoff delays must be >= 0")
         if batch_cells is not None and batch_cells < 0:
             raise ConfigurationError("batch_cells must be >= 0")
-        if stack_lanes is not None and stack_lanes < 0:
-            raise ConfigurationError("stack_lanes must be >= 0")
         self.jobs = jobs
         #: ``None`` means auto-size per batch group; 0 normalizes to it.
         self.batch_cells = batch_cells if batch_cells else None
-        #: ``None`` = stacking off; 0 = auto lanes; K >= 1 = lane cap.
-        self.stack_lanes = stack_lanes
         self.cache = cache
         self.timeout = timeout
         self.heartbeat = heartbeat
@@ -3002,130 +2803,60 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------------
     def _run_serial(self, pending):
-        # One scratch arena for the whole serial run: the serial path is
-        # effectively a single maximal chunk, so it amortizes the hot
-        # numpy buffers exactly like a batched worker does.
-        with cell_scratch():
-            stacked: dict[int, tuple[Any, float]] = {}
-            if self.stack_lanes is not None:
-                stacked = self._stack_serial(pending)
-            for index, cell, key in pending:
-                if self._interrupted:
-                    raise KeyboardInterrupt
-                if index in stacked:
-                    value, wall = stacked[index]
-                    yield index, CellOutcome(
-                        cell=cell,
-                        key=key,
-                        value=value,
-                        status="computed",
-                        wall_seconds=wall,
-                        attempts=1,
-                        error=None,
-                    )
-                    continue
-                attempts = 0
-                error: str | None = None
-                # Accumulated *execution* time across attempts. Backoff
-                # sleeps are excluded, matching the supervised parallel
-                # path (which books only real worker time) — a retried
-                # serial cell used to report wall_seconds inflated by
-                # its own backoff delays.
-                elapsed = 0.0
-                value = None
-                status = "failed"
-                while attempts <= self.retries:
-                    attempts += 1
-                    attempt_start = time.perf_counter()
-                    try:
-                        value, wall = _execute_cell(cell, self.faults)
-                        elapsed += wall
-                        status = "computed"
-                        error = None
-                        break
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:  # graceful degradation
-                        elapsed += time.perf_counter() - attempt_start
-                        error = f"{type(exc).__name__}: {exc}"
-                        if attempts <= self.retries:
-                            delay = backoff_delay(
-                                key,
-                                attempts,
-                                self.backoff_base,
-                                self.backoff_cap,
-                            )
-                            self.telemetry.backoff_seconds += delay
-                            _M_BACKOFF.inc(delay)
-                            obs_trace.event(
-                                "cell.retry",
-                                label=cell.label,
-                                attempt=attempts,
-                                delay=delay,
-                                error=error,
-                            )
-                            if delay:
-                                time.sleep(delay)
-                yield index, CellOutcome(
-                    cell=cell,
-                    key=key,
-                    value=value,
-                    status=status,
-                    wall_seconds=elapsed,
-                    attempts=attempts,
-                    error=error,
-                )
-
-    def _stack_serial(self, pending) -> dict[int, tuple[Any, float]]:
-        """Pre-execute stackable pending cells as stacked-lanes groups.
-
-        Groups cells by ``batch_group()`` (cells lacking the hooks stay
-        sequential), runs each group of two or more through
-        ``execute_stacked`` — lane count capped at ``stack_lanes`` when
-        nonzero — and returns ``{index: (value, wall)}`` for the lanes
-        that succeeded. Per-cell wall is the group wall split evenly,
-        matching the parallel workers' attribution. A lane that raised
-        is simply omitted, and a failure of the whole group omits every
-        member: the sequential loop then re-runs those cells from
-        scratch with their full retry budget, so stacking never costs
-        fault isolation.
-        """
-        groups: dict[tuple, list[tuple[int, Any]]] = {}
-        for index, cell, _ in pending:
-            if getattr(type(cell), "execute_stacked", None) is None:
-                continue
-            hook = getattr(cell, "batch_group", None)
-            if hook is None:
-                continue
-            groups.setdefault(hook(), []).append((index, cell))
-        values: dict[int, tuple[Any, float]] = {}
-        cap = self.stack_lanes or None
-        for members in groups.values():
-            if len(members) < 2:
-                continue
+        for index, cell, key in pending:
             if self._interrupted:
                 raise KeyboardInterrupt
-            cells = [cell for _, cell in members]
-            if self.faults is not None:
-                for cell in cells:
-                    self.faults.on_cell_start(cell.label, None)
-            start = time.perf_counter()
-            with obs_trace.span(
-                "chunk.stacked", cells=len(cells), first=cells[0].label
-            ):
+            attempts = 0
+            error: str | None = None
+            # Accumulated *execution* time across attempts. Backoff
+            # sleeps are excluded, matching the supervised parallel
+            # path (which books only real worker time) — a retried
+            # serial cell used to report wall_seconds inflated by
+            # its own backoff delays.
+            elapsed = 0.0
+            value = None
+            status = "failed"
+            while attempts <= self.retries:
+                attempts += 1
+                attempt_start = time.perf_counter()
                 try:
-                    results = type(cells[0]).execute_stacked(
-                        cells, max_lanes=cap
-                    )
+                    value, wall = _execute_cell(cell, self.faults)
+                    elapsed += wall
+                    status = "computed"
+                    error = None
+                    break
                 except KeyboardInterrupt:
                     raise
-                except Exception:  # whole group falls back to sequential
-                    continue
-            wall = (time.perf_counter() - start) / len(members)
-            for (index, _), result in zip(members, results):
-                if not isinstance(result, BaseException):
-                    values[index] = (result, wall)
-        return values
+                except Exception as exc:  # graceful degradation
+                    elapsed += time.perf_counter() - attempt_start
+                    error = f"{type(exc).__name__}: {exc}"
+                    if attempts <= self.retries:
+                        delay = backoff_delay(
+                            key,
+                            attempts,
+                            self.backoff_base,
+                            self.backoff_cap,
+                        )
+                        self.telemetry.backoff_seconds += delay
+                        _M_BACKOFF.inc(delay)
+                        obs_trace.event(
+                            "cell.retry",
+                            label=cell.label,
+                            attempt=attempts,
+                            delay=delay,
+                            error=error,
+                        )
+                        if delay:
+                            time.sleep(delay)
+            yield index, CellOutcome(
+                cell=cell,
+                key=key,
+                value=value,
+                status=status,
+                wall_seconds=elapsed,
+                attempts=attempts,
+                error=error,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -3175,10 +2906,6 @@ ENGINE_SETTINGS: dict[str, tuple[str, Callable[[str], Any], str, Any]] = {
     ),
     "batch_cells": (
         "REPRO_BATCH_CELLS", _count, f"{_INT} (0 = auto, 1 = per cell)", 0
-    ),
-    "stack_lanes": (
-        "REPRO_SIM_STACK", _count, f"{_INT} lane cap (0 = auto, unset = off)",
-        None,
     ),
     "resume": ("REPRO_RESUME", _switch, _SWITCH, False),
     "cache": ("REPRO_CACHE", _switch, _SWITCH, True),
@@ -3281,5 +3008,4 @@ def engine_from_env(
         progress=progress,
         store=store,
         batch_cells=setting("batch_cells"),
-        stack_lanes=setting("stack_lanes"),
     )

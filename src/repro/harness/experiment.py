@@ -23,11 +23,10 @@ from repro.registry import (
     default_campaign_schemes,
     scheme_names,
     scheme_registration,
-    scheme_store_needs,
 )
-from repro.schemes.untangle import get_rate_table, get_worst_case_rate_table
-from repro.sim.batch import StackedLanes
-from repro.sim.hierarchy import L1ServiceTrace
+# Kept importable: perfbench/launcher.py wraps ``get_rate_table`` on
+# every module that exposes it.
+from repro.schemes.untangle import get_rate_table  # noqa: F401
 from repro.sim.system import DomainSpec, MultiDomainSystem, SystemResult
 from repro.workloads.mixes import get_mix
 
@@ -189,9 +188,9 @@ class PreparedMixScheme:
     """One (mix, scheme) cell built and ready to run.
 
     :func:`prepare_mix_scheme` / :func:`finalize_mix_scheme` split
-    :func:`run_mix_scheme` around the simulation itself, so the
-    stacked-lanes executor can build K compatible cells up front (with
-    shared workload objects) and drive their systems jointly.
+    :func:`run_mix_scheme` around the simulation itself, so checks can
+    inspect a built system (its scheme, monitors, schedule) without
+    running it.
     """
 
     scheme_name: str
@@ -206,40 +205,14 @@ def prepare_mix_scheme(
     profile: RunProfile = SCALED,
     *,
     scheme_params: dict | None = None,
-    workload_cache: dict | None = None,
-    l1_trace_cache: dict | None = None,
 ) -> PreparedMixScheme:
-    """Build the system for one (mix, scheme) cell without running it.
-
-    ``workload_cache`` (keyed by the full workload identity:
-    spec, crypto, scale, seed) lets batch-compatible cells share
-    composed workload objects. Cells of one stacked group differ only
-    in their mix pairs, so many identities repeat across lanes; sharing
-    skips redundant composition work and reuses each stream's
-    hashed-address cache. Streams are read-only during simulation, so
-    sharing cannot couple lanes.
-
-    ``l1_trace_cache`` additionally installs a shared
-    :class:`~repro.sim.hierarchy.L1ServiceTrace` per distinct stream:
-    the private L1's hit/miss pattern is a pure function of the stream,
-    so lanes sharing a workload also share one L1 walk, and every lane
-    skips L1 journaling and rollback replays entirely. Results are
-    bit-identical with or without the traces.
-    """
-    workload_keys = []
-    workloads = []
-    for index, (spec, crypto) in enumerate(pairs):
-        key = (spec, crypto, profile.workload_scale, profile.seed + index)
-        workload_keys.append(key)
-        if workload_cache is not None and key in workload_cache:
-            workloads.append(workload_cache[key])
-            continue
-        built = cached_build_workload(
+    """Build the system for one (mix, scheme) cell without running it."""
+    workloads = [
+        cached_build_workload(
             spec, crypto, profile.workload_scale, seed=profile.seed + index
         )
-        if workload_cache is not None:
-            workload_cache[key] = built
-        workloads.append(built)
+        for index, (spec, crypto) in enumerate(pairs)
+    ]
     labels = mix_labels(pairs)
     domains = [
         DomainSpec(label, w.stream, w.core_config)
@@ -254,16 +227,6 @@ def prepare_mix_scheme(
         quantum=profile.quantum,
         sample_interval=profile.sample_interval,
     )
-    if l1_trace_cache is not None:
-        for key, core in zip(workload_keys, system.cores):
-            # The L1 geometry rides the key so one cache dict can serve
-            # mixed-profile call sites without ever cross-installing.
-            trace_key = (key, arch.l1_lines, arch.l1_associativity)
-            trace = l1_trace_cache.get(trace_key)
-            if trace is None:
-                trace = L1ServiceTrace.for_stream(core.stream, arch)
-                l1_trace_cache[trace_key] = trace
-            core.memory.install_l1_trace(trace)
     return PreparedMixScheme(scheme_name, labels, system, profile)
 
 
@@ -302,137 +265,6 @@ def run_mix_scheme(
     )
     outcome = prepared.system.run(max_cycles=profile.max_cycles)
     return finalize_mix_scheme(prepared, outcome)
-
-
-#: Process-level L1 service-trace memo: traces are pure functions of
-#: (stream identity, L1 geometry), so successive stacked groups in one
-#: worker — e.g. several batch chunks of a campaign — reuse each other's
-#: walks the same way ``cached_build_workload`` reuses compositions.
-#: Cleared wholesale past the cap to bound memory on huge campaigns.
-_L1_TRACE_MEMO: dict = {}
-_L1_TRACE_MEMO_CAP = 128
-
-
-def warm_l1_traces(entries: list[tuple[list[tuple[str, str]], RunProfile]]) -> int:
-    """Pre-walk the L1 service trace of every distinct workload stream.
-
-    ``entries`` holds ``(pairs, profile)`` per upcoming cell. The
-    parallel engine calls this in the *parent* process right before
-    forking its workers when lane stacking is enabled: traces (and the
-    workload builds they require) are pure functions of the cell
-    inputs, so one walk here is inherited copy-on-write by every forked
-    worker, instead of each worker repeating it — on a campaign whose
-    chunks reuse streams across workers, that turns W duplicate walks
-    into one. Returns the number of traces walked.
-    """
-    if len(_L1_TRACE_MEMO) > _L1_TRACE_MEMO_CAP:
-        _L1_TRACE_MEMO.clear()
-    warmed = 0
-    for pairs, profile in entries:
-        arch = profile.arch(len(pairs))
-        for index, (spec, crypto) in enumerate(pairs):
-            key = (spec, crypto, profile.workload_scale, profile.seed + index)
-            trace_key = (key, arch.l1_lines, arch.l1_associativity)
-            if trace_key in _L1_TRACE_MEMO:
-                continue
-            built = cached_build_workload(
-                spec, crypto, profile.workload_scale, seed=profile.seed + index
-            )
-            trace = L1ServiceTrace.for_stream(built.stream, arch)
-            trace.warm()
-            _L1_TRACE_MEMO[trace_key] = trace
-            warmed += 1
-    return warmed
-
-
-def warm_rate_tables(entries: list[tuple]) -> int:
-    """Pre-solve the Rmax rate table for every distinct scheme config.
-
-    ``entries`` holds ``(scheme_name, profile)`` — optionally
-    ``(scheme_name, profile, scheme_params)`` — per upcoming cell. Like
-    :func:`warm_l1_traces`, this runs in the parent right before workers
-    fork: the table is a pure function of the channel model, and the
-    module-level memo in :mod:`repro.schemes.untangle` is inherited
-    copy-on-write, so the Dinkelbach solve happens once per campaign
-    instead of once per worker that draws an untangle chunk. Which
-    tables a scheme needs comes from its registration's ``store_needs``
-    hook, so registered third-party schemes warm automatically. Returns
-    the number of tables solved.
-    """
-    warmed = 0
-    seen: set[tuple] = set()
-    for entry in entries:
-        scheme_name, profile = entry[0], entry[1]
-        params = dict(entry[2]) if len(entry) > 2 and entry[2] else None
-        try:
-            needs = scheme_store_needs(scheme_name, profile, params)
-        except ConfigurationError:
-            continue
-        for need in needs:
-            if need[0] not in ("rmax", "rmax-worst") or need in seen:
-                continue
-            seen.add(need)
-            if need[0] == "rmax":
-                get_rate_table(need[1], capacity=need[2])
-            else:
-                get_worst_case_rate_table(need[1])
-            warmed += 1
-    return warmed
-
-
-def run_mix_schemes_stacked(
-    cells: list[tuple],
-    max_lanes: int | None = None,
-) -> list:
-    """Execute batch-compatible (mix, scheme) cells as stacked lanes.
-
-    Every entry is a ``(pairs, scheme_name, profile)`` tuple —
-    optionally ``(pairs, scheme_name, profile, scheme_params)``; entries
-    must share scheme and profile (the engine's batch-group contract —
-    same quantum schedule and array shapes). Lanes run through one
-    :class:`~repro.sim.batch.StackedLanes` driver, sharing workload
-    objects and the vectorized per-round cumsum; results are
-    bit-identical to calling :func:`run_mix_scheme` on each entry
-    sequentially. The returned list holds one
-    :class:`SchemeRunResult` per entry, in order — or, for a lane that
-    raised, its exception instance (peers are unaffected).
-
-    ``max_lanes`` caps the lanes stacked at once; remaining cells form
-    further groups (workload sharing still spans the whole call).
-    """
-    if max_lanes is not None and max_lanes < 1:
-        raise ConfigurationError("max_lanes must be >= 1")
-    shared: dict = {}
-    if len(_L1_TRACE_MEMO) > _L1_TRACE_MEMO_CAP:
-        _L1_TRACE_MEMO.clear()
-    prepared = [
-        prepare_mix_scheme(
-            cell[0],
-            cell[1],
-            cell[2],
-            scheme_params=(
-                dict(cell[3]) if len(cell) > 3 and cell[3] else None
-            ),
-            workload_cache=shared,
-            l1_trace_cache=_L1_TRACE_MEMO,
-        )
-        for cell in cells
-    ]
-    results: list = []
-    step = max_lanes or len(prepared)
-    for start in range(0, len(prepared), step):
-        group = prepared[start : start + step]
-        stack = StackedLanes(
-            [p.system.run_gen(max_cycles=p.profile.max_cycles) for p in group]
-        ).run()
-        for prep, outcome in zip(group, stack.results):
-            if isinstance(outcome, BaseException):
-                results.append(outcome)
-            else:
-                results.append(
-                    finalize_mix_scheme(prep, prep.system.finish(*outcome))
-                )
-    return results
 
 
 def _assemble_mix_results(

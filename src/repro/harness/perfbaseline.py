@@ -12,7 +12,7 @@ order):
   disabled vs cold vs warm;
 * ``benchmarks/bench_campaign.py`` → ``BENCH_campaign.json``
   (``"kind": "campaign"``): a skewed-cost campaign under per-cell
-  dispatch vs chunked dispatch and lane stacking.
+  dispatch vs chunked dispatch.
 
 A regression is flagged when a freshly measured speedup falls more than
 ``tolerance`` (default 30%) below the committed baseline's — i.e. the
@@ -86,7 +86,6 @@ def _speedups(payload: dict) -> dict[str, float]:
     if payload.get("kind") == "campaign":
         return {
             "campaign/batched": float(payload["batched"]["speedup"]),
-            "campaign/stacked": float(payload["stacked"]["speedup"]),
         }
     out = {"raw_kernel": float(payload["raw_kernel"]["speedup"])}
     for scheme, cell in payload["end_to_end"]["cells"].items():
@@ -105,7 +104,7 @@ def _identity_failures(payload: dict) -> list[str]:
     if payload.get("kind") == "campaign":
         return [
             f"campaign/{mode}"
-            for mode in ("stolen", "batched", "stacked")
+            for mode in ("stolen", "batched")
             if not payload[mode].get("identical", False)
         ]
     return [

@@ -201,11 +201,6 @@ def render_telemetry(telemetry: EngineTelemetry) -> str:
             f"  scheduling:   {snap['batches']} chunks dispatched "
             f"({factor:.1f} cells/chunk), {snap['steals']} steals"
         )
-    if snap.get("stacked_cells"):
-        lines.append(
-            f"  stacking:     {snap['stacked_cells']} cells ran as "
-            f"stacked lanes, {snap['lane_divergences']} lane divergences"
-        )
     if snap["quarantined"]:
         lines.append(
             f"  quarantined:  {snap['quarantined']} corrupt cache "

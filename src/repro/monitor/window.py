@@ -12,7 +12,11 @@ array exploits in hardware.
 
 :class:`ReuseDistanceTracker` computes reuse distances online in
 O(log n) per access with a Fenwick tree over access timestamps holding
-one marker at each line's last-access position.
+one marker at each line's last-access position. Only the markers'
+relative order matters, so the batched path periodically renumbers
+them 1..D (D = distinct lines) and rebuilds the tree: its size stays
+proportional to the working set instead of to the number of
+observations.
 """
 
 from __future__ import annotations
@@ -58,6 +62,19 @@ class FenwickTree:
         self._tree = new_tree
         self._size = new_size
 
+    @classmethod
+    def of_ones(cls, count: int, capacity: int) -> "FenwickTree":
+        """A tree holding 1 at positions ``1..count``, built in O(capacity)."""
+        tree = cls(capacity)
+        values = tree._tree
+        for position in range(1, count + 1):
+            values[position] = 1
+        for position in range(1, capacity + 1):
+            parent = position + (position & -position)
+            if parent <= capacity:
+                values[parent] += values[position]
+        return tree
+
     def add(self, position: int, delta: int) -> None:
         """Add ``delta`` at a 1-based position."""
         if position < 1:
@@ -89,6 +106,13 @@ class FenwickTree:
 
 #: Sentinel reuse distance for a first-touch (cold) access.
 COLD_DISTANCE = -1
+
+#: :meth:`ReuseDistanceTracker.observe_run` renumbers the live markers
+#: once the clock would pass this multiple of ``max(distinct lines,
+#: _COMPACT_FLOOR)``, so the tree never outgrows a few times the
+#: working set.
+_COMPACT_FACTOR = 4
+_COMPACT_FLOOR = 1024
 
 
 class ReuseDistanceTracker:
@@ -129,19 +153,25 @@ class ReuseDistanceTracker:
     def observe_run(self, line_addrs: list[int]) -> list[int]:
         """Record a run of accesses; returns their reuse distances.
 
-        All-integer arithmetic, so the distances and the final tree state
-        are exactly those of per-address :meth:`observe` calls; the tree
-        is pre-grown to the run's last timestamp and the Fenwick walks
-        are inlined over local references, which is what makes this the
-        batched monitor's hot path.
+        All-integer arithmetic, so the distances are exactly those of
+        per-address :meth:`observe` calls; the tree is pre-grown to the
+        run's last timestamp and the Fenwick walks are inlined over local
+        references, which is what makes this the batched monitor's hot
+        path. Before the run, a clock that would outgrow a few times the
+        working set is compacted (:meth:`_compact`), which keeps the
+        tree small without changing any distance.
         """
+        last_position = self._last_position
+        distinct = len(last_position)
+        limit = _COMPACT_FACTOR * max(distinct, _COMPACT_FLOOR)
+        if self._clock + len(line_addrs) > limit and self._clock > distinct:
+            self._compact(limit)
         fenwick = self._fenwick
         clock = self._clock
         if clock + len(line_addrs) > fenwick._size:
             fenwick._grow(clock + len(line_addrs))
         tree = fenwick._tree
         size = fenwick._size
-        last_position = self._last_position
         get_previous = last_position.get
         distances: list[int] = []
         append = distances.append
@@ -173,6 +203,21 @@ class ReuseDistanceTracker:
             last_position[line_addr] = clock
         self._clock = clock
         return distances
+
+    def _compact(self, capacity: int) -> None:
+        """Renumber the live markers 1..D in order; rebuild the tree.
+
+        A reuse distance counts the markers strictly between two
+        timestamps, which depends only on the markers' relative order,
+        so every future distance is unchanged.
+        """
+        last_position = self._last_position
+        for rank, line_addr in enumerate(
+            sorted(last_position, key=last_position.__getitem__), 1
+        ):
+            last_position[line_addr] = rank
+        self._clock = len(last_position)
+        self._fenwick = FenwickTree.of_ones(self._clock, capacity)
 
     def reset(self) -> None:
         """Forget all history (used when a monitor is cleared)."""

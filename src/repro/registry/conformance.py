@@ -13,8 +13,6 @@ infrastructure both depend on:
   (Section 5.2's end-to-end property; zero action leakage).
 * **kernel-identity** — results are bit-identical under the
   ``reference`` and ``batched`` simulation kernels.
-* **lane-stacking** — stacked-lane execution reproduces sequential
-  execution bit-for-bit.
 * **store-tokens** — cache keys and precompute-store needs are stable
   across interpreter processes (fresh ``PYTHONHASHSEED``), so caches
   and stores survive restarts.
@@ -41,11 +39,7 @@ from repro.core.principles import (
 )
 from repro.errors import ConfigurationError
 from repro.harness.exec import ExecutionEngine, MixSchemeCell, cell_key
-from repro.harness.experiment import (
-    prepare_mix_scheme,
-    run_mix_scheme,
-    run_mix_schemes_stacked,
-)
+from repro.harness.experiment import prepare_mix_scheme, run_mix_scheme
 from repro.harness.runconfig import PROFILES, TEST, RunProfile
 from repro.registry.core import (
     REGISTRY,
@@ -230,31 +224,6 @@ def _check_kernel_identity(
     return f"batched == reference over {len(pairs)} workloads"
 
 
-def _check_lane_stacking(
-    registration: Registration, profile: RunProfile, pairs
-) -> str:
-    lanes = [list(pairs), list(reversed(pairs))]
-    sequential = [
-        run_mix_scheme(lane, registration.name, profile) for lane in lanes
-    ]
-    stacked = run_mix_schemes_stacked(
-        [(lane, registration.name, profile) for lane in lanes]
-    )
-    for index, (alone, together) in enumerate(zip(sequential, stacked)):
-        if isinstance(together, Exception):
-            raise AssertionError(
-                f"scheme {registration.name!r} lane {index} failed when "
-                f"stacked: {together}"
-            )
-        assert MixSchemeCell.encode(alone) == MixSchemeCell.encode(
-            together
-        ), (
-            f"scheme {registration.name!r} lane {index} diverges under "
-            "lane stacking"
-        )
-    return f"{len(lanes)} stacked lanes bit-identical to sequential"
-
-
 _CHILD_TOKEN_SCRIPT = """
 import json, sys
 from repro.harness.exec import MixSchemeCell, cell_key
@@ -388,11 +357,6 @@ def run_scheme_conformance(
         report,
         "kernel-identity",
         lambda: _check_kernel_identity(registration, profile, pairs),
-    )
-    _record(
-        report,
-        "lane-stacking",
-        lambda: _check_lane_stacking(registration, profile, pairs),
     )
     _record(
         report,

@@ -10,10 +10,10 @@ Two implementations live here:
 * :class:`SetAssociativeCache` — the production kernel. Each set is a
   packed-recency structure (an insertion-ordered dict whose key order
   *is* the LRU order), giving O(1) hit/install/evict instead of the
-  O(associativity) list scans of the original model, and
+  O(associativity) list scans of the original model. The batched CPU
+  kernel (:meth:`repro.sim.cpu.Core.run`) walks these dicts inline;
   :meth:`SetAssociativeCache.access_run` resolves a whole run of line
-  addresses in one call — the batched entry point used by
-  :meth:`repro.sim.hierarchy.DomainMemory.access_block`.
+  addresses in one call.
 * :class:`ReferenceSetAssociativeCache` — the original per-access,
   list-based model, retained verbatim as the reference implementation
   for differential testing (``REPRO_SIM_KERNEL=reference`` selects it
@@ -223,44 +223,6 @@ class SetAssociativeCache:
         stats.evictions += evictions
         return np.array(out, dtype=bool), evictions
 
-    def snapshot_for(self, addrs: np.ndarray) -> tuple:
-        """Copy-on-write snapshot covering the sets ``addrs`` map to.
-
-        Captures exactly the state an :meth:`access_run` over ``addrs``
-        can change — the touched sets, the stats counters, and the
-        resident count — so a speculative run can be undone with
-        :meth:`restore_snapshot`. Cost is proportional to the run, not
-        the cache.
-        """
-        sets = self._sets
-        touched = set((addrs % self.num_sets).tolist())
-        if self._lru:
-            saved: dict = {index: dict(sets[index]) for index in touched}
-        else:
-            saved = {index: list(sets[index]) for index in touched}
-        stats = self.stats
-        return (
-            saved,
-            stats.hits,
-            stats.misses,
-            stats.evictions,
-            stats.invalidations,
-            self._resident,
-        )
-
-    def restore_snapshot(self, snapshot: tuple) -> None:
-        """Undo every state change made since the matching snapshot."""
-        saved, hits, misses, evictions, invalidations, resident = snapshot
-        sets = self._sets
-        for index, ways in saved.items():
-            sets[index] = ways
-        stats = self.stats
-        stats.hits = hits
-        stats.misses = misses
-        stats.evictions = evictions
-        stats.invalidations = invalidations
-        self._resident = resident
-
     def probe(self, line_addr: int, touch: bool = False) -> bool:
         """Non-allocating lookup: hit status without installing on miss.
 
@@ -458,34 +420,6 @@ class ReferenceSetAssociativeCache:
         before = self.stats.evictions
         hits = np.array([self.access(int(a)) for a in addrs], dtype=bool)
         return hits, self.stats.evictions - before
-
-    def snapshot_for(self, addrs: np.ndarray) -> tuple:
-        """Copy-on-write snapshot covering the sets ``addrs`` map to."""
-        sets = self._sets
-        saved = {
-            index: list(sets[index])
-            for index in set((addrs % self.num_sets).tolist())
-        }
-        stats = self.stats
-        return (
-            saved,
-            stats.hits,
-            stats.misses,
-            stats.evictions,
-            stats.invalidations,
-        )
-
-    def restore_snapshot(self, snapshot: tuple) -> None:
-        """Undo every state change made since the matching snapshot."""
-        saved, hits, misses, evictions, invalidations = snapshot
-        sets = self._sets
-        for index, ways in saved.items():
-            sets[index] = ways
-        stats = self.stats
-        stats.hits = hits
-        stats.misses = misses
-        stats.evictions = evictions
-        stats.invalidations = invalidations
 
     def probe(self, line_addr: int, touch: bool = False) -> bool:
         ways = self._sets[line_addr % self.num_sets]

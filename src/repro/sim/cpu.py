@@ -25,24 +25,25 @@ is proportional to the number of memory accesses, not instructions.
 Two inner kernels implement that walk (selected by ``REPRO_SIM_KERNEL``,
 see :mod:`repro.sim.kernelmode`):
 
-* The **batched** kernel resolves whole *runs* of events — every memory
-  access and stall between two stop events (quantum top, progress
-  target) — in one speculative :meth:`DomainMemory.resolve_block` call,
-  accumulating cycles with a vectorized interleaved cumulative sum that
-  reproduces the scalar float-addition chain bit for bit. Because the
-  resolve returns the *actual* latencies, the exact reference stopping
-  point within the run is found by binary search over the cumulative
-  loop-top values, and :meth:`DomainMemory.commit_block` keeps exactly
-  that prefix (rolling the caches back over the rest). Runs never cross
-  a measurement boundary (warmup end / slice end) or the progress
-  crossing; events at those edges fall back to the scalar step, which
-  performs the boundary bookkeeping at exactly the reference
-  granularity.
+* The **batched** kernel (:meth:`Core._run_batched`) is one exact
+  per-event loop. It runs one event at a time, performing the same
+  float additions in the same order as the reference, but keeps its
+  hot state in locals, reads the stream through memoryviews, and walks
+  the packed-recency L1, LLC and monitor-filter dicts inline. It
+  cannot skip ahead: Untangle's assessment points must fall on the
+  exact instruction where public progress reaches its target
+  (Principle 2), and measurement boundaries and the cycle budget are
+  exact too. So the loop recomputes the progress crossing only at a
+  pass wrap, checks measurement boundaries with one integer compare,
+  and applies cache statistics, service counters and the monitor's
+  observations in bulk when it returns — nothing reads them mid-call.
+  Stalls and timing jitter are handled inline, with the reference's
+  draw order.
 * The **reference** kernel is the original one-call-per-access loop,
   retained verbatim for differential testing and as the before/after
-  baseline of ``benchmarks/bench_kernel.py``. Timing jitter draws one
-  RNG value per access, so jittered cores always use the scalar loop
-  regardless of kernel mode (the draw sequence is part of the result).
+  baseline of ``benchmarks/bench_kernel.py``. Cores whose L1 is not a
+  packed-recency LRU cache, or whose LLC view exposes no
+  ``kernel_binding`` (way partitioning), always use it.
 
 After a stream's slice finishes, the core keeps re-running the stream
 (wrapping around) to maintain LLC pressure, per the paper's methodology,
@@ -52,7 +53,6 @@ while its statistics stay frozen.
 from __future__ import annotations
 
 import enum
-from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +61,14 @@ from repro.config import ArchConfig
 from repro.core.annotations import AnnotationVector
 from repro.errors import ConfigurationError, SimulationError
 from repro.monitor.umon import mix64_array
-from repro.sim.batch import active_scratch, drive_kernel
-from repro.sim.hierarchy import DomainMemory
+from repro.sim.cache import SetAssociativeCache
+from repro.sim.hierarchy import MISSING, DomainMemory, MemoryLevel
 from repro.sim.kernelmode import batching_enabled
 from repro.sim.stats import DomainStats
 
-#: Smallest event run worth dispatching as a batch; shorter runs go
-#: through the scalar step (batch setup would cost more than it saves).
-MIN_BATCH = 8
+#: Stand-in for "never" in the batched loop's integer compares (no
+#: measurement boundary left).
+_NEVER = 1 << 62
 
 
 class StopReason(enum.Enum):
@@ -221,23 +221,27 @@ class Core:
             if core_config.timing_jitter > 0
             else None
         )
-        # Jitter draws one RNG value per access, so jittered cores must
-        # take the scalar loop to preserve the draw sequence. Speculative
-        # block resolution additionally needs an LLC view that can
-        # snapshot/restore its state.
+        # The batched loop walks the raw packed-recency dicts, so it needs
+        # LRU set-associative L1 (and monitor filter) plus an LLC view
+        # that exposes its backing cache.
+        filter_cache = memory._monitor_filter
         self._use_batched = (
             batching_enabled()
-            and core_config.timing_jitter == 0
-            and memory.supports_speculation
+            and _packed(memory.l1)
+            and (filter_cache is None or _packed(filter_cache))
+            and getattr(memory.llc_view, "kernel_binding", None) is not None
         )
-        # Running estimate of the average cycle cost per event, used only
-        # to size batches against the remaining budget (never to decide
-        # results — the stop point is computed exactly afterwards).
-        events = max(1, int(stream.event_positions.shape[0]))
-        self._est_cost = (
-            self._cpi * (stream.length / events)
-            + self._cpi
-            + arch.llc_latency * self._inv_mlp
+        # Views, not lists: indexing yields plain ints and bools without
+        # copying the stream, where a list would hold a boxed Python
+        # object per instruction for the life of the core.
+        self._views = (
+            memoryview(stream.event_positions),
+            memoryview(stream.addresses),
+            memoryview(stream.annotations.metric_excluded),
+            memoryview(stream.cum_public),
+            None
+            if stream.stall_cycles is None
+            else memoryview(stream.stall_cycles),
         )
 
         self.cycles: float = 0.0
@@ -339,24 +343,7 @@ class Core:
         metric snapshots) functions of the instruction stream alone.
         """
         if self._use_batched:
-            return drive_kernel(self._batched_gen(until_cycle, progress_target))
-        return self._run_reference(until_cycle, progress_target)
-
-    def run_gen(
-        self, until_cycle: float, progress_target: int | None = None
-    ) -> "Generator":
-        """Generator form of :meth:`run` for external cumsum service.
-
-        Yields ``("cumsum", deltas, cum)`` requests (see
-        :meth:`_batched_gen`) and returns the :class:`StopReason` via
-        ``StopIteration.value``. A reference-kernel core never yields —
-        the whole quantum runs inside the first ``next()`` — so drivers
-        can treat every core uniformly. :func:`repro.sim.batch.drive_kernel`
-        services the requests locally; the stacked-lanes driver services
-        several cores' requests with one vectorized call instead.
-        """
-        if self._use_batched:
-            return (yield from self._batched_gen(until_cycle, progress_target))
+            return self._run_batched(until_cycle, progress_target)
         return self._run_reference(until_cycle, progress_target)
 
     def _run_reference(
@@ -389,184 +376,252 @@ class Core:
             self._mem_cursor += 1
         return StopReason.QUANTUM
 
-    def _batched_gen(
-        self, until_cycle: float, progress_target: int | None
-    ) -> Generator:
-        """Batched kernel: speculatively resolve event runs, commit exactly.
+    def _next_boundary(self) -> int:
+        """``retired`` count at which :meth:`_check_boundaries` next acts."""
+        if not self._measuring:
+            return self._warmup_end
+        if not self.stats.finished:
+            return self._slice_end
+        return _NEVER
 
-        Bit-exact with :meth:`_run_reference`. Each iteration picks a run
-        of upcoming events capped so that none could cross the progress
-        target or a measurement boundary (those must fire from the scalar
-        path at the reference's exact granularity), sized by a running
-        cost estimate against the remaining cycle budget. The run is
-        resolved *speculatively* through the hierarchy
-        (:meth:`DomainMemory.resolve_block`): caches advance and the
-        actual per-access latencies come back, but monitor and service
-        counters are deferred. With real latencies in hand, one
-        interleaved cumulative sum reproduces the scalar float-addition
-        chain bit for bit, and a binary search over its loop-top values
-        finds exactly how many events the reference loop would have
-        executed before the budget check stopped it.
-        :meth:`DomainMemory.commit_block` then keeps that prefix, rolling
-        the caches back over the unexecuted tail (deterministic replay
-        from copy-on-write set snapshots) — so sizing is a pure
-        performance knob with no effect on results. Leftover runs shorter
-        than :data:`MIN_BATCH` take the scalar step.
+    def _cross_boundary(self, cycles: float, retired: int) -> int:
+        """Act on a measurement boundary reached by the batched loop.
 
-        Speculation is sound because within one ``run()`` call the LLC
-        view is effectively private: other cores and resizes only act
-        between calls, at quantum and assessment granularity.
-
-        The cumulative sum itself is delegated: the generator yields
-        ``("cumsum", deltas, cum)`` and expects ``np.cumsum(deltas)``
-        back from ``send``. ``deltas`` may live in the shared scratch
-        arena, so a driver interleaving several generators must copy it
-        before resuming any other lane; the reply only needs to stay
-        valid until this lane's next request.
+        Books the boundary at the loop's current ``cycles``/``retired``
+        exactly as :meth:`_check_boundaries` would, and returns the
+        next boundary.
         """
+        self.cycles = cycles
+        self.retired = retired
+        self._check_boundaries()
+        return self._next_boundary()
+
+    def _crossing(self, progress_target: int | None) -> int:
+        """The progress crossing in this pass, or ``length + 1`` if none.
+
+        :meth:`_public_crossing_rel` as an int the batched loop can
+        compare against positions without a ``None`` check.
+        """
+        if progress_target is not None:
+            crossing = self._public_crossing_rel(progress_target)
+            if crossing is not None:
+                return crossing
+        return self.stream.length + 1
+
+    def _run_batched(
+        self, until_cycle: float, progress_target: int | None
+    ) -> StopReason:
+        """Batched kernel: the reference loop with its state in locals.
+
+        Bit-exact with :meth:`_run_reference`: the same events in the
+        same order, the same float additions in the same order, the same
+        cache operations and the same jitter draws. What differs is only
+        where the state lives while the call runs. Position and cycles
+        are locals (retired and public progress follow from the
+        position); the stream is read through memoryviews; the L1, the
+        monitor's shadow filter and the LLC are walked inline over their
+        packed-recency dicts (the LLC through the view's
+        ``kernel_binding``, fetched per call because a resize replaces
+        the backing sets between calls). The progress crossing moves
+        only at a pass wrap, and a measurement boundary is one integer
+        compare against :meth:`_next_boundary`.
+
+        Hit/miss/eviction counters, the service-level counts and the
+        monitor's observations are applied in bulk on return: within one
+        call nothing reads them (other cores, resizes and assessments
+        act only between calls), and the monitor is fed the collected
+        candidates in their original order through ``observe_block``.
+        """
+        if (
+            progress_target is not None
+            and self.public_retired >= progress_target
+            and self.cycles < until_cycle
+        ):
+            return StopReason.PROGRESS
         stream = self.stream
-        ev = stream.event_positions
-        num_events = int(ev.shape[0])
         length = stream.length
+        ev, addresses, metric_excluded, cum, stalls = self._views
         cpi = self._cpi
         inv_mlp = self._inv_mlp
+        rng = self._jitter_rng
+        draw = rng.integers if rng is not None else None
+        jitter_high = self._jitter + 1
+
         memory = self.memory
-        stats = self.stats
-        addresses = stream.addresses
-        excluded = stream.annotations.metric_excluded
-        stalls = stream.stall_cycles
-        cum_public = stream.cum_public
-        hashes = stream.hashed_addresses if memory.monitor_wants_hashes else None
-        # Annotation/hash slices only matter to the monitor feed; without
-        # a monitor, commit_block never reads them.
-        has_monitor = memory.monitor is not None
+        l1 = memory.l1
+        l1_sets = l1._sets
+        l1_num_sets = l1.num_sets
+        l1_assoc = l1.associativity
+        llc, offset, domain_stats = memory.llc_view.kernel_binding()
+        llc_sets = llc._sets
+        llc_num_sets = llc.num_sets
+        llc_assoc = llc.associativity
+        l1_extra = memory._l1_latency * inv_mlp
+        llc_extra = memory._llc_latency * inv_mlp
+        dram_extra = memory._dram_latency * inv_mlp
+        # Monitor feed: shadow-filter misses of public accesses, or (no
+        # filter) live-L1 misses, minus secret ones when annotations are
+        # respected. Candidates are stream positions, observed on return.
+        monitor = memory.monitor
+        filt = memory._monitor_filter
+        if filt is not None:
+            f_sets = filt._sets
+            f_num_sets = filt.num_sets
+            f_assoc = filt.associativity
+        live_feed = filt is None and monitor is not None
+        live_all = not memory.monitor_respects_annotations
+        observed: list[int] = []
+        observe = observed.append
 
-        crossing = (
-            self._public_crossing_rel(progress_target)
-            if progress_target is not None
-            else None
-        )
-        while self.cycles < until_cycle:
-            if progress_target is not None and self.public_retired >= progress_target:
-                return StopReason.PROGRESS
-            cursor = self._mem_cursor
-            next_event = int(ev[cursor]) if cursor < num_events else length
-            if crossing is not None and crossing <= next_event:
-                self._advance_nonmem(crossing - self._rel_pos)
-                return StopReason.PROGRESS
-            if next_event >= length:
-                self._advance_nonmem(length - self._rel_pos)
-                self._wrap_pass()
-                if progress_target is not None:
-                    crossing = self._public_crossing_rel(progress_target)
+        l1_hit = l1_miss = l1_evict = 0
+        llc_hit = llc_miss = llc_evict = 0
+        f_hit = f_miss = f_evict = 0
+
+        cycles = self.cycles
+        rel_pos = self._rel_pos
+        cursor = self._mem_cursor
+        # Within a pass, retired and public progress are functions of the
+        # position (``retired = pass_retired + rel_pos``, ``public =
+        # pass_public + cum[rel_pos]``), so the loop tracks only the
+        # position and compares it against the next measurement boundary
+        # translated into this pass (``bound``).
+        pass_retired = self.retired - rel_pos
+        pass_public = self._pass_public_base
+        bound = self._next_boundary() - pass_retired
+        # ``edge``: where this pass stops being plain events — the
+        # progress crossing (an index <= length) or the pass end. Public
+        # progress reaches the target exactly at the crossing, so the
+        # reference's loop-top progress check can only fire on entry
+        # (handled above); after that, reaching the edge decides it.
+        crossing = self._crossing(progress_target)
+        edge = min(crossing, length)
+
+        reason = StopReason.QUANTUM
+        while cycles < until_cycle:
+            try:
+                pos = ev[cursor]
+            except IndexError:
+                pos = length
+            if pos >= edge:
+                pos = edge
+            # Retire the non-memory gap up to the next event (or edge).
+            count = pos - rel_pos
+            if count > 0:
+                cycles += count * cpi
+                rel_pos = pos
+                if rel_pos >= bound:
+                    bound = (
+                        self._cross_boundary(cycles, pass_retired + rel_pos)
+                        - pass_retired
+                    )
+            if pos == edge:
+                if pos == crossing:
+                    reason = StopReason.PROGRESS
+                    break
+                # Pass wrap (pressure-maintenance loop).
+                rel_pos = 0
+                cursor = 0
+                pass_retired += length
+                pass_public += cum[length]
+                bound -= length
+                self._pass_public_base = pass_public
+                crossing = self._crossing(progress_target)
+                edge = min(crossing, length)
                 continue
 
-            rel_pos = self._rel_pos
-            # Events at or past the crossing never execute this pass.
-            if crossing is None:
-                stop = num_events
-            else:
-                stop = int(np.searchsorted(ev, crossing, side="left"))
-            # Keep retired strictly below the next measurement boundary.
-            if not self._measuring:
-                boundary = self._warmup_end
-            elif not stats.finished:
-                boundary = self._slice_end
-            else:
-                boundary = -1
-            if boundary >= 0:
-                max_pos = rel_pos + boundary - self.retired - 2
-                cap = int(np.searchsorted(ev, max_pos, side="right"))
-                if cap < stop:
-                    stop = cap
-            # Size the run to just under the remaining budget, so runs
-            # commit fully (no rollback). Over- and undershoot are both
-            # safe — the commit point is computed exactly from actual
-            # latencies — so this is a pure performance knob.
-            cap_stop = stop
-            want = int(0.9 * (until_cycle - self.cycles) / self._est_cost)
-            if cursor + want < stop:
-                stop = cursor + want
-            n = stop - cursor
-            if n < MIN_BATCH:
-                # Scalar mop-up for the quantum tail (cheaper than a tiny
-                # speculative batch, which would always roll back). Events
-                # in [cursor, cap_stop) are strictly before the crossing
-                # and the measurement boundary, so only the cycle budget
-                # can stop early; a zero-length window is the capped
-                # boundary event itself, which steps once as the
-                # reference would.
-                end = cap_stop if cap_stop > cursor else cursor + 1
-                while True:
-                    next_event = int(ev[cursor])
-                    self._advance_nonmem(next_event - self._rel_pos)
-                    self._execute_event(next_event)
-                    cursor += 1
-                    if cursor >= end or self.cycles >= until_cycle:
-                        break
-                self._mem_cursor = cursor
-                continue
-
-            idx = ev[cursor:stop]
-            addrs = addresses[idx]
-            commit_excluded = None
-            commit_hashes = None
-            if stalls is None:
-                mem_mask = None
-                latencies, token = memory.resolve_block(addrs)
-                extras = latencies * inv_mlp
-                if has_monitor:
-                    commit_excluded = excluded[idx]
-                    commit_hashes = hashes[idx] if hashes is not None else None
-            else:
-                extras = np.zeros(n, dtype=np.float64)
-                mem_mask = addrs >= 0
-                if mem_mask.any():
-                    mem_idx = idx[mem_mask]
-                    latencies, token = memory.resolve_block(addresses[mem_idx])
-                    extras[mem_mask] = latencies * inv_mlp
-                    if has_monitor:
-                        commit_excluded = excluded[mem_idx]
-                        commit_hashes = (
-                            hashes[mem_idx] if hashes is not None else None
-                        )
+            addr = addresses[pos]
+            if addr >= 0:
+                if filt is not None and not metric_excluded[pos]:
+                    ways = f_sets[addr % f_num_sets]
+                    if ways.pop(addr, MISSING) is None:
+                        f_hit += 1
+                    else:
+                        f_miss += 1
+                        if len(ways) >= f_assoc:
+                            del ways[next(iter(ways))]
+                            f_evict += 1
+                        observe(pos)
+                    ways[addr] = None
+                ways = l1_sets[addr % l1_num_sets]
+                if ways.pop(addr, MISSING) is None:
+                    ways[addr] = None
+                    l1_hit += 1
+                    extra = l1_extra
                 else:
-                    token = None
-                extras = extras + stalls[idx]
-            # Interleave (gap advance, event retire) deltas and fold them
-            # with one strictly-sequential cumulative sum; even entries
-            # are the reference loop-top cycle values before each event.
-            # Under cell-major batching a chunk-shared scratch arena
-            # backs the delta/cumsum buffers (every entry is written
-            # before it is read, so reuse is bit-identical to np.empty).
-            gaps = idx - np.concatenate(([rel_pos], idx[:-1] + 1))
-            scratch = active_scratch()
-            if scratch is not None:
-                deltas = scratch.f64(2 * n + 1, slot=0)
-                cum = scratch.f64(2 * n + 1, slot=1)
+                    l1_miss += 1
+                    if len(ways) >= l1_assoc:
+                        del ways[next(iter(ways))]
+                        l1_evict += 1
+                    ways[addr] = None
+                    if live_feed and (live_all or not metric_excluded[pos]):
+                        observe(pos)
+                    tagged = addr + offset
+                    ways = llc_sets[tagged % llc_num_sets]
+                    if ways.pop(tagged, MISSING) is None:
+                        llc_hit += 1
+                        extra = llc_extra
+                    else:
+                        llc_miss += 1
+                        if len(ways) >= llc_assoc:
+                            del ways[next(iter(ways))]
+                            llc_evict += 1
+                        extra = dram_extra
+                    ways[tagged] = None
+                if draw is not None:
+                    extra += float(draw(0, jitter_high))
+                if stalls is not None:
+                    extra += float(stalls[pos])
             else:
-                deltas = np.empty(2 * n + 1, dtype=np.float64)
-                cum = None
-            deltas[0] = self.cycles
-            deltas[1::2] = gaps * cpi
-            deltas[2::2] = cpi + extras
-            tops = (yield ("cumsum", deltas, cum))[0::2]
-            # First event whose loop-top check would fail the budget.
-            k = int(np.searchsorted(tops, until_cycle, side="left"))
-            if k > n:
-                k = n
-            if token is not None:
-                kept = k if mem_mask is None else int(np.count_nonzero(mem_mask[:k]))
-                memory.commit_block(token, kept, commit_excluded, commit_hashes)
-            last = int(idx[k - 1])
-            self.cycles = float(tops[k])
-            self.retired += last + 1 - rel_pos
-            self.public_retired += int(cum_public[last + 1] - cum_public[rel_pos])
-            self._rel_pos = last + 1
-            self._mem_cursor = cursor + k
-            # Refresh the batch-sizing estimate (perf only, never results).
-            self._est_cost = 0.5 * (
-                self._est_cost + (float(tops[k]) - float(tops[0])) / k
+                extra = float(stalls[pos])
+            cycles += cpi + extra
+            rel_pos = pos + 1
+            cursor += 1
+            if rel_pos >= bound:
+                bound = (
+                    self._cross_boundary(cycles, pass_retired + rel_pos)
+                    - pass_retired
+                )
+
+        self.cycles = cycles
+        self.retired = pass_retired + rel_pos
+        self.public_retired = pass_public + cum[rel_pos]
+        self._rel_pos = rel_pos
+        self._mem_cursor = cursor
+
+        stats = l1.stats
+        stats.hits += l1_hit
+        stats.misses += l1_miss
+        stats.evictions += l1_evict
+        l1._resident += l1_miss - l1_evict
+        stats = llc.stats
+        stats.hits += llc_hit
+        stats.misses += llc_miss
+        stats.evictions += llc_evict
+        llc._resident += llc_miss - llc_evict
+        if domain_stats is not None:
+            domain_stats.hits += llc_hit
+            domain_stats.misses += llc_miss
+        if filt is not None:
+            stats = filt.stats
+            stats.hits += f_hit
+            stats.misses += f_miss
+            stats.evictions += f_evict
+            filt._resident += f_miss - f_evict
+        counts = memory.level_counts
+        counts[MemoryLevel.L1] += l1_hit
+        counts[MemoryLevel.LLC] += llc_hit
+        counts[MemoryLevel.DRAM] += llc_miss
+        if observed:
+            positions = np.array(observed, dtype=np.int64)
+            memory.feed_monitor(
+                stream.addresses[positions],
+                stream.hashed_addresses[positions]
+                if memory.monitor_wants_hashes
+                else None,
             )
-            self._check_boundaries()
-        return StopReason.QUANTUM
+        return reason
+
+
+def _packed(cache) -> bool:
+    """Whether a cache is the packed-recency LRU kernel cache."""
+    return type(cache) is SetAssociativeCache and cache._lru

@@ -19,22 +19,11 @@ but the *filter itself* depends on who is asking:
   baseline), the monitor observes live-L1-missing accesses including
   secret ones — the secret-dependent metric that motivates the paper.
 
-Three entry points exist: :meth:`DomainMemory.access` resolves one
-access (the reference kernel's path); :meth:`DomainMemory.access_block`
-resolves a whole run of accesses in one call; and the
-:meth:`DomainMemory.resolve_block` / :meth:`DomainMemory.commit_block`
-pair resolves a run *speculatively* — caches advanced, monitor and
-service counters deferred — so the batched CPU kernel can learn every
-access's actual latency first, compute exactly where the reference
-scalar loop would have stopped (a cycle budget, typically), and then
-commit only that prefix, rolling the caches back over the unexecuted
-tail via copy-on-write set snapshots. The block paths are exactly
-equivalent to per-access calls: within a run, the L1 state depends only
-on the address sequence, the monitor only on its filtered subsequence,
-and the LLC only on the L1-missing subsequence — none feeds back into
-another — and a rolled-back replay is deterministic from the restored
-state. The shadow monitor filter advances only at commit time (it never
-influences latencies), so speculation needs no filter snapshots.
+:meth:`DomainMemory.access` resolves one access (the reference
+kernel's path). The batched CPU kernel (:meth:`repro.sim.cpu.Core.run`)
+walks the same caches inline, with the same dict operations in the
+same order, and hands its collected monitor candidates to
+:meth:`DomainMemory.feed_monitor` once per call.
 """
 
 from __future__ import annotations
@@ -45,8 +34,6 @@ from typing import Protocol
 import numpy as np
 
 from repro.config import ArchConfig
-from repro.sim.batch import active_scratch
-from repro.sim.cache import SetAssociativeCache
 from repro.sim.kernelmode import make_cache
 from repro.sim.partition import LLCView
 
@@ -54,100 +41,6 @@ from repro.sim.partition import LLCView
 #: Sentinel distinct from the packed-recency dicts' stored value (None),
 #: so ``ways.pop(addr, MISSING) is None`` is a one-lookup hit test.
 MISSING = object()
-
-#: Minimum positions an :class:`L1ServiceTrace` walk extends by at once:
-#: resolves request a few hundred positions at a time, and thousands of
-#: tiny ``access_run`` calls would be overhead-bound. :meth:`warm` also
-#: walks one block past the stream period so lanes that consume a little
-#: more than one full pass (the common case) never extend at all.
-_TRACE_EXTEND_BLOCK = 8192
-
-
-class L1ServiceTrace:
-    """Precomputed L1 hit/miss decisions for one workload stream.
-
-    The private L1 is unaffected by the LLC, the monitor, and the other
-    domains: its hit/miss pattern over a stream is a pure function of
-    the address sequence alone (see the module docstring's feedback
-    argument). That makes the pattern *shareable* — lanes of a stacked
-    chunk that simulate the same stream (and every speculative replay
-    within one lane) can all be served from a single walk of the L1
-    instead of each re-walking it with journaling and rollback.
-
-    The trace walks the stream's memory-access sequence lazily and
-    cyclically (streams wrap for pressure maintenance), extending an
-    append-only hit/miss buffer on demand through
-    :meth:`~repro.sim.cache.SetAssociativeCache.access_run` on a
-    private replica built by the same :func:`~repro.sim.kernelmode.make_cache`
-    the live hierarchy uses — so the recorded decisions are bit-identical
-    to the decisions the lane's own L1 would have made. Handed-out
-    slices are views of an append-only buffer, so concurrent lanes at
-    different positions never invalidate each other.
-    """
-
-    __slots__ = ("geometry", "_cache", "_addrs", "_period", "_hits", "_walked")
-
-    def __init__(self, mem_addrs: np.ndarray, config: ArchConfig):
-        l1_sets = max(1, config.l1_lines // config.l1_associativity)
-        self.geometry = (l1_sets, config.l1_associativity)
-        self._cache = make_cache(l1_sets, config.l1_associativity)
-        self._addrs = np.ascontiguousarray(mem_addrs, dtype=np.int64)
-        self._period = int(self._addrs.shape[0])
-        self._hits = np.zeros(0, dtype=bool)
-        self._walked = 0
-
-    @classmethod
-    def for_stream(cls, stream, config: ArchConfig) -> "L1ServiceTrace":
-        """Trace over a stream's memory events (stall slots excluded)."""
-        addrs = stream.addresses[stream.event_positions]
-        return cls(addrs[addrs >= 0], config)
-
-    def warm(self) -> None:
-        """Eagerly walk one full pass of the stream.
-
-        Campaign engines call this in the parent process before forking
-        workers: the walked buffer is inherited copy-on-write, so each
-        worker only extends the trace past the first pass instead of
-        replaying it from zero. Typical lanes consume little more than
-        one pass, so one pass captures the bulk of the walk.
-        """
-        target = self._period + _TRACE_EXTEND_BLOCK
-        if self._period and self._walked < target:
-            self._extend(target)
-
-    def hits(self, start: int, stop: int) -> np.ndarray:
-        """Hit/miss booleans for absolute access positions [start, stop)."""
-        if stop > self._walked:
-            self._extend(stop)
-        return self._hits[start:stop]
-
-    def _extend(self, target: int) -> None:
-        if self._period == 0:
-            raise ValueError("cannot trace a stream with no memory accesses")
-        # Walk well past the request: resolves ask for a few hundred
-        # positions at a time, and thousands of tiny access_run calls
-        # would be overhead-bound. Extending in blocks keeps the walk
-        # to a handful of bulk calls per stream, at a bounded overshoot
-        # of one block past what the lanes actually consume.
-        target = max(target, self._walked + _TRACE_EXTEND_BLOCK)
-        if target > self._hits.shape[0]:
-            capacity = max(self._hits.shape[0], self._period)
-            while capacity < target:
-                capacity *= 2
-            grown = np.empty(capacity, dtype=bool)
-            grown[: self._walked] = self._hits[: self._walked]
-            # Old buffer (and every view into it) stays alive and final;
-            # only positions past _walked are ever written again.
-            self._hits = grown
-        addrs = self._addrs
-        walked = self._walked
-        while walked < target:
-            offset = walked % self._period
-            n = min(self._period - offset, target - walked)
-            segment, _ = self._cache.access_run(addrs[offset : offset + n])
-            self._hits[walked : walked + n] = segment
-            walked += n
-        self._walked = walked
 
 
 class MemoryLevel(enum.IntEnum):
@@ -196,10 +89,7 @@ class DomainMemory:
         "_l1_latency",
         "_llc_latency",
         "_dram_latency",
-        "_distinct_latencies",
         "level_counts",
-        "_l1_trace",
-        "_l1_trace_pos",
     )
 
     def __init__(
@@ -215,8 +105,7 @@ class DomainMemory:
         self.monitor = monitor
         self.monitor_respects_annotations = monitor_respects_annotations
         # The shadow tag directory filtering the monitored stream (same
-        # geometry as the L1 it models). Only at commit time, never
-        # speculatively — see resolve/commit.
+        # geometry as the L1 it models).
         self._monitor_filter = (
             make_cache(l1_sets, config.l1_associativity)
             if monitor is not None and monitor_respects_annotations
@@ -225,38 +114,7 @@ class DomainMemory:
         self._l1_latency = config.l1_latency
         self._llc_latency = config.llc_latency
         self._dram_latency = config.dram_latency
-        # With three distinct level latencies the serving level can be
-        # recovered from an access's latency, which lets the fused kernel
-        # skip materializing hit masks (commit_block derives them).
-        self._distinct_latencies = (
-            len({config.l1_latency, config.llc_latency, config.dram_latency}) == 3
-        )
         self.level_counts = {level: 0 for level in MemoryLevel}
-        self._l1_trace: L1ServiceTrace | None = None
-        self._l1_trace_pos = 0
-
-    def install_l1_trace(self, trace: L1ServiceTrace) -> None:
-        """Serve L1 decisions from a shared precomputed service trace.
-
-        Afterwards the live ``l1`` cache object is never walked: resolves
-        slice the trace at this domain's committed stream position and
-        only the L1-missing subsequence pays a per-access LLC walk. The
-        caller must install the trace *before* the first access, the
-        trace must cover exactly this domain's memory-access sequence in
-        order, and resolves must alternate strictly with commits (the
-        batched kernel's discipline) — the trace position advances only
-        at commit, which is what makes speculative rollback free on the
-        L1 side. ``l1.stats`` keeps hit/miss counts for served accesses;
-        eviction counts are not modeled on the traced path (no consumer
-        reads them).
-        """
-        if trace.geometry != (self.l1.num_sets, self.l1.associativity):
-            raise ValueError(
-                f"trace geometry {trace.geometry} does not match the L1 "
-                f"({self.l1.num_sets} sets x {self.l1.associativity} ways)"
-            )
-        self._l1_trace = trace
-        self._l1_trace_pos = 0
 
     @property
     def monitor_wants_hashes(self) -> bool:
@@ -265,7 +123,7 @@ class DomainMemory:
         True when the monitor set-samples by SplitMix64 address hash
         (see :class:`repro.monitor.umon.UMONMonitor`); callers that hold
         a per-stream hash cache can then pass it to
-        :meth:`access_block` and skip re-hashing per observation.
+        :meth:`feed_monitor` and skip re-hashing per observation.
         """
         return self.monitor is not None and bool(
             getattr(self.monitor, "uses_address_hashes", False)
@@ -284,17 +142,7 @@ class DomainMemory:
         if filter_cache is not None and not metric_excluded:
             if not filter_cache.access(line_addr):
                 self.monitor.observe(line_addr)
-        trace = self._l1_trace
-        if trace is not None:
-            pos = self._l1_trace_pos
-            self._l1_trace_pos = pos + 1
-            stats = self.l1.stats
-            if trace.hits(pos, pos + 1)[0]:
-                stats.hits += 1
-                self.level_counts[MemoryLevel.L1] += 1
-                return self._l1_latency
-            stats.misses += 1
-        elif self.l1.access(line_addr):
+        if self.l1.access(line_addr):
             self.level_counts[MemoryLevel.L1] += 1
             return self._l1_latency
         if (
@@ -309,540 +157,24 @@ class DomainMemory:
         self.level_counts[MemoryLevel.DRAM] += 1
         return self._dram_latency
 
-    @property
-    def supports_speculation(self) -> bool:
-        """Whether the LLC view can snapshot/restore for speculative runs."""
-        return bool(getattr(self.llc_view, "supports_speculation", False))
-
-    @property
-    def worst_case_latency(self) -> int:
-        """Upper bound on any single access's latency (a DRAM miss)."""
-        return self._dram_latency
-
-    def resolve_block(
-        self, addrs: np.ndarray, speculative: bool = True
-    ) -> tuple[np.ndarray, tuple]:
-        """Speculatively resolve a run's latencies; caches advance, nothing else.
-
-        The L1 and the LLC view are walked through the whole run (so the
-        returned int64 latencies are the *actual* per-access values), but
-        the monitor and the service counters are untouched — they are
-        applied by :meth:`commit_block` for the prefix that really
-        executed. With ``speculative=True`` the touched cache sets are
-        snapshotted first so a partial commit can roll the tail back.
-
-        When both caches are packed-recency LRU (the production kernel)
-        and the view exposes a :meth:`kernel_binding`, the walk is one
-        fused Python loop over the raw set dicts — the single hottest
-        loop of the simulator — instead of two staged
-        :meth:`~repro.sim.cache.SetAssociativeCache.access_run` calls.
-        """
-        if self._l1_trace is not None:
-            return self._resolve_block_traced(addrs, speculative)
-        l1 = self.l1
-        binding = getattr(self.llc_view, "kernel_binding", None)
-        if (
-            binding is not None
-            and self._distinct_latencies
-            and type(l1) is SetAssociativeCache
-            and l1._lru
-        ):
-            llc_cache, offset, domain_stats = binding()
-            if type(llc_cache) is SetAssociativeCache and llc_cache._lru:
-                return self._resolve_block_fused(
-                    addrs, speculative, llc_cache, offset, domain_stats
-                )
-
-        l1_snapshot = l1.snapshot_for(addrs) if speculative else None
-        l1_hits, _ = l1.access_run(addrs)
-        miss_mask = ~l1_hits
-        miss_addrs = addrs[miss_mask]
-        latencies = np.full(addrs.shape[0], self._l1_latency, dtype=np.int64)
-        if miss_addrs.shape[0]:
-            llc_snapshot = (
-                self.llc_view.snapshot_for(miss_addrs) if speculative else None
-            )
-            llc_hits = self.llc_view.access_run(miss_addrs)
-            latencies[miss_mask] = np.where(
-                llc_hits, self._llc_latency, self._dram_latency
-            )
-        else:
-            llc_snapshot = None
-            llc_hits = miss_addrs.astype(bool)
-        token = (addrs, latencies, (miss_mask, llc_hits), l1_snapshot, llc_snapshot)
-        return latencies, token
-
-    def _resolve_block_fused(
-        self,
-        addrs: np.ndarray,
-        speculative: bool,
-        llc_cache: SetAssociativeCache,
-        offset: int,
-        domain_stats,
-    ) -> tuple[np.ndarray, tuple]:
-        """One-loop L1+LLC resolve over the raw packed-recency dicts.
-
-        Semantically identical to the staged path (and to per-access
-        :meth:`access` calls): same dict operations in the same order,
-        with the stats and resident counters applied in bulk afterwards.
-        Snapshots are journaled lazily — each set is copied the first
-        time the loop touches it — so speculation costs nothing for sets
-        the run never reaches.
-        """
-        l1 = self.l1
-        if speculative:
-            l1_journal: dict | None = {}
-            stats = l1.stats
-            l1_snapshot = (
-                l1_journal,
-                stats.hits,
-                stats.misses,
-                stats.evictions,
-                stats.invalidations,
-                l1._resident,
-            )
-            llc_journal: dict | None = {}
-            stats = llc_cache.stats
-            cache_snapshot = (
-                llc_journal,
-                stats.hits,
-                stats.misses,
-                stats.evictions,
-                stats.invalidations,
-                llc_cache._resident,
-            )
-            # Match the format the view's restore_snapshot expects: a
-            # shared view carries its per-domain counters alongside the
-            # cache snapshot, a partition view is the cache snapshot.
-            if domain_stats is None:
-                llc_snapshot = cache_snapshot
-            else:
-                llc_snapshot = (
-                    cache_snapshot,
-                    domain_stats.hits,
-                    domain_stats.misses,
-                )
-        else:
-            l1_journal = None
-            llc_journal = None
-            l1_snapshot = None
-            llc_snapshot = None
-        l1_sets = l1._sets
-        l1_num_sets = l1.num_sets
-        l1_assoc = l1.associativity
-        llc_sets = llc_cache._sets
-        llc_num_sets = llc_cache.num_sets
-        llc_assoc = llc_cache.associativity
-        l1_latency = self._l1_latency
-        llc_latency = self._llc_latency
-        dram_latency = self._dram_latency
-
-        l1_hit = l1_miss = l1_evict = 0
-        llc_hit = llc_miss = llc_evict = 0
-        latencies: list[int] = []
-        lat_append = latencies.append
-
-        # Set indexes come from one vectorized modulo per level instead of
-        # a Python ``%`` per access; resident lines map to None, so pop's
-        # MISSING default doubles as the miss test while removing a hit's
-        # stale recency slot. Under cell-major batching the transient
-        # index arrays stack into the chunk-shared scratch arena (fully
-        # overwritten per run, so reuse is bit-identical).
-        n = addrs.shape[0]
-        scratch = active_scratch()
-        if scratch is not None:
-            l1_indexes = np.mod(addrs, l1_num_sets, out=scratch.i64(n, slot=0))
-            if offset:
-                tagged_addrs = np.add(addrs, offset, out=scratch.i64(n, slot=1))
-            else:
-                tagged_addrs = addrs
-            llc_indexes = np.mod(
-                tagged_addrs, llc_num_sets, out=scratch.i64(n, slot=2)
-            )
-        else:
-            tagged_addrs = addrs + offset if offset else addrs
-            l1_indexes = addrs % l1_num_sets
-            llc_indexes = tagged_addrs % llc_num_sets
-        for addr, index, tagged, llc_index in zip(
-            addrs.tolist(),
-            l1_indexes.tolist(),
-            tagged_addrs.tolist(),
-            llc_indexes.tolist(),
-        ):
-            ways = l1_sets[index]
-            if l1_journal is not None and index not in l1_journal:
-                l1_journal[index] = dict(ways)
-            if ways.pop(addr, MISSING) is None:
-                ways[addr] = None
-                l1_hit += 1
-                lat_append(l1_latency)
-                continue
-            if len(ways) >= l1_assoc:
-                del ways[next(iter(ways))]
-                l1_evict += 1
-            ways[addr] = None
-            l1_miss += 1
-            ways = llc_sets[llc_index]
-            if llc_journal is not None and llc_index not in llc_journal:
-                llc_journal[llc_index] = dict(ways)
-            if ways.pop(tagged, MISSING) is None:
-                ways[tagged] = None
-                llc_hit += 1
-                lat_append(llc_latency)
-            else:
-                if len(ways) >= llc_assoc:
-                    del ways[next(iter(ways))]
-                    llc_evict += 1
-                ways[tagged] = None
-                llc_miss += 1
-                lat_append(dram_latency)
-
-        stats = l1.stats
-        stats.hits += l1_hit
-        stats.misses += l1_miss
-        stats.evictions += l1_evict
-        l1._resident += l1_miss - l1_evict
-        stats = llc_cache.stats
-        stats.hits += llc_hit
-        stats.misses += llc_miss
-        stats.evictions += llc_evict
-        llc_cache._resident += llc_miss - llc_evict
-        if domain_stats is not None:
-            domain_stats.hits += llc_hit
-            domain_stats.misses += llc_miss
-
-        # The hit level is recoverable from the latency (the dispatch in
-        # resolve_block requires the three level latencies to be
-        # distinct), so the miss/LLC-hit masks are derived vectorized in
-        # commit_block instead of appended per access here.
-        latency_array = np.array(latencies, dtype=np.int64)
-        token = (addrs, latency_array, None, l1_snapshot, llc_snapshot)
-        return latency_array, token
-
-    def _resolve_block_traced(
-        self, addrs: np.ndarray, speculative: bool
-    ) -> tuple[np.ndarray, tuple]:
-        """Resolve via the installed L1 service trace.
-
-        L1 decisions are a slice of the shared trace at this domain's
-        committed position — no dict walk, no journal, and rollback is
-        free (the position only advances at commit). Only the L1-missing
-        subsequence walks the LLC: through one lazily-journaled loop
-        over the raw packed-recency dicts when the view exposes a
-        ``kernel_binding`` (the same fusion :meth:`_resolve_block_fused`
-        applies), else through the staged ``snapshot_for``/``access_run``
-        primitives. Either way LLC state and counters evolve exactly as
-        the generic path's would.
-        """
-        n = int(addrs.shape[0])
-        pos = self._l1_trace_pos
-        l1_hits = self._l1_trace.hits(pos, pos + n)
-        miss_mask = ~l1_hits
-        miss_addrs = addrs[miss_mask]
-        latencies = np.full(n, self._l1_latency, dtype=np.int64)
-        if miss_addrs.shape[0]:
-            llc_snapshot = None
-            llc_hits = None
-            binding = getattr(self.llc_view, "kernel_binding", None)
-            if binding is not None:
-                llc_cache, offset, domain_stats = binding()
-                if type(llc_cache) is SetAssociativeCache and llc_cache._lru:
-                    llc_snapshot, llc_hits = self._llc_walk_journaled(
-                        miss_addrs, speculative, llc_cache, offset, domain_stats
-                    )
-            if llc_hits is None:
-                llc_snapshot = (
-                    self.llc_view.snapshot_for(miss_addrs)
-                    if speculative
-                    else None
-                )
-                llc_hits = self.llc_view.access_run(miss_addrs)
-            latencies[miss_mask] = np.where(
-                llc_hits, self._llc_latency, self._dram_latency
-            )
-        else:
-            llc_snapshot = None
-            llc_hits = miss_addrs.astype(bool)
-        token = (
-            addrs,
-            latencies,
-            (miss_mask, llc_hits),
-            (self._l1_trace, speculative),
-            llc_snapshot,
-        )
-        return latencies, token
-
-    def _llc_walk_journaled(
-        self,
-        addrs: np.ndarray,
-        speculative: bool,
-        cache: SetAssociativeCache,
-        offset: int,
-        domain_stats,
-    ) -> tuple[tuple | None, np.ndarray]:
-        """One-loop LLC walk over the raw packed-recency dicts.
-
-        The traced resolve's LLC half of :meth:`_resolve_block_fused`:
-        semantically identical to ``snapshot_for`` + ``access_run`` on
-        the view (same dict operations in the same order, stats applied
-        in bulk), but the snapshot is journaled lazily as sets are first
-        touched instead of in an eager pre-pass. Returns the snapshot in
-        the exact layout the view's ``restore_snapshot`` expects, plus
-        the per-access hit vector.
-        """
-        if speculative:
-            journal: dict | None = {}
-            stats = cache.stats
-            cache_snapshot = (
-                journal,
-                stats.hits,
-                stats.misses,
-                stats.evictions,
-                stats.invalidations,
-                cache._resident,
-            )
-            if domain_stats is None:
-                snapshot: tuple | None = cache_snapshot
-            else:
-                snapshot = (
-                    cache_snapshot,
-                    domain_stats.hits,
-                    domain_stats.misses,
-                )
-        else:
-            journal = None
-            snapshot = None
-        sets = cache._sets
-        num_sets = cache.num_sets
-        assoc = cache.associativity
-        tagged = addrs + offset if offset else addrs
-        indexes = tagged % num_sets
-        hit = miss = evict = 0
-        out: list[bool] = []
-        append = out.append
-        for addr, index in zip(tagged.tolist(), indexes.tolist()):
-            ways = sets[index]
-            if journal is not None and index not in journal:
-                journal[index] = dict(ways)
-            if ways.pop(addr, MISSING) is None:
-                ways[addr] = None
-                hit += 1
-                append(True)
-            else:
-                if len(ways) >= assoc:
-                    del ways[next(iter(ways))]
-                    evict += 1
-                ways[addr] = None
-                miss += 1
-                append(False)
-        stats = cache.stats
-        stats.hits += hit
-        stats.misses += miss
-        stats.evictions += evict
-        cache._resident += miss - evict
-        if domain_stats is not None:
-            domain_stats.hits += hit
-            domain_stats.misses += miss
-        return snapshot, np.array(out, dtype=bool)
-
-    def _feed_monitor(
-        self,
-        addrs: np.ndarray,
-        count: int,
-        metric_excluded: np.ndarray | None,
-        hashes: np.ndarray | None,
-        miss_mask: np.ndarray,
+    def feed_monitor(
+        self, addrs: np.ndarray, hashes: np.ndarray | None = None
     ) -> None:
-        """Offer a committed prefix's accesses to the monitor.
+        """Observe a run of already-filtered monitor candidates, in order.
 
-        ``addrs``/``miss_mask`` cover exactly the committed prefix
-        (length ``count``); ``metric_excluded``/``hashes`` are aligned
-        with the original block and sliced here. With a shadow filter
-        (annotations respected), the public subsequence is walked
-        through the filter and its misses are observed — the live L1's
-        ``miss_mask`` plays no part, so secret lines resident in the
-        real L1 cannot shift what the monitor sees. Without one, the
-        legacy live-L1-missing feed applies.
+        ``addrs`` holds exactly the accesses :meth:`access` would have
+        passed to ``monitor.observe``; ``hashes`` optionally carries
+        their precomputed SplitMix64 hashes. Monitors with an
+        ``observe_block`` take the run in one call, others per address.
         """
         monitor = self.monitor
-        if monitor is None:
-            return
-        filter_cache = self._monitor_filter
-        if filter_cache is not None:
-            if metric_excluded is not None:
-                public = ~metric_excluded[:count]
-                public_addrs = addrs[public]
-            else:
-                public = None
-                public_addrs = addrs
-            if not public_addrs.shape[0]:
-                return
-            filter_hits, _ = filter_cache.access_run(public_addrs)
-            keep = ~filter_hits
-            monitored = public_addrs[keep]
-            if not monitored.shape[0]:
-                return
-            if hashes is not None:
-                kept_hashes = hashes[:count]
-                if public is not None:
-                    kept_hashes = kept_hashes[public]
-                monitored_hashes = kept_hashes[keep]
-            else:
-                monitored_hashes = None
-        else:
-            if self.monitor_respects_annotations and metric_excluded is not None:
-                keep = miss_mask & ~metric_excluded[:count]
-            else:
-                keep = miss_mask
-            monitored = addrs[keep]
-            if not monitored.shape[0]:
-                return
-            monitored_hashes = (
-                hashes[:count][keep] if hashes is not None else None
-            )
         observe_block = getattr(monitor, "observe_block", None)
         if observe_block is not None:
-            observe_block(monitored, monitored_hashes)
-        else:
-            observe = monitor.observe
-            for line_addr in monitored.tolist():
-                observe(line_addr)
-
-    def _commit_block_traced(
-        self,
-        token: tuple,
-        count: int,
-        metric_excluded: np.ndarray | None,
-        hashes: np.ndarray | None,
-    ) -> None:
-        """Commit a traced resolve's prefix.
-
-        The L1 side needs no restore or replay — advancing the trace
-        position by ``count`` *is* the commit. A partial commit restores
-        the LLC snapshot and re-walks the kept prefix's misses for state
-        (the walk is deterministic from the restored state, so its hit
-        pattern equals the original resolve's prefix).
-        """
-        addrs, latencies, masks, (_, speculative), llc_snapshot = token
-        n = int(addrs.shape[0])
-        miss_mask, llc_hits = masks
-        if count < n:
-            if not speculative:
-                raise ValueError("partial commit requires a speculative resolve")
-            miss_mask = miss_mask[:count]
-            kept_misses = int(np.count_nonzero(miss_mask))
-            if llc_snapshot is not None:
-                self.llc_view.restore_snapshot(llc_snapshot)
-                if kept_misses:
-                    # Deterministic replay of the kept prefix's misses
-                    # for LLC state; fused when the view allows it.
-                    replay = addrs[:count][miss_mask]
-                    binding = getattr(self.llc_view, "kernel_binding", None)
-                    replayed = False
-                    if binding is not None:
-                        llc_cache, offset, domain_stats = binding()
-                        if (
-                            type(llc_cache) is SetAssociativeCache
-                            and llc_cache._lru
-                        ):
-                            self._llc_walk_journaled(
-                                replay, False, llc_cache, offset, domain_stats
-                            )
-                            replayed = True
-                    if not replayed:
-                        self.llc_view.access_run(replay)
-            llc_hits = llc_hits[:kept_misses]
-            addrs = addrs[:count]
-        if not count:
+            observe_block(addrs, hashes)
             return
-        self._l1_trace_pos += count
-        num_misses = int(np.count_nonzero(miss_mask))
-        counts = self.level_counts
-        counts[MemoryLevel.L1] += count - num_misses
-        num_llc = int(np.count_nonzero(llc_hits))
-        counts[MemoryLevel.LLC] += num_llc
-        counts[MemoryLevel.DRAM] += num_misses - num_llc
-        stats = self.l1.stats
-        stats.hits += count - num_misses
-        stats.misses += num_misses
-        self._feed_monitor(addrs, count, metric_excluded, hashes, miss_mask)
-
-    def commit_block(
-        self,
-        token: tuple,
-        count: int,
-        metric_excluded: np.ndarray | None = None,
-        hashes: np.ndarray | None = None,
-    ) -> None:
-        """Commit the first ``count`` accesses of a resolved block.
-
-        When ``count`` covers the whole block this just applies the
-        deferred effects (service counters, monitor observations). For a
-        partial commit the caches are restored to their snapshots and the
-        kept prefix is deterministically replayed, so the final state is
-        exactly as if only those accesses had happened. ``metric_excluded``
-        and ``hashes`` are aligned with the block's address array.
-        """
-        if self._l1_trace is not None:
-            return self._commit_block_traced(token, count, metric_excluded, hashes)
-        addrs, latencies, masks, l1_snapshot, llc_snapshot = token
-        n = int(addrs.shape[0])
-        if count < n:
-            if l1_snapshot is None:
-                raise ValueError("partial commit requires a speculative resolve")
-            self.l1.restore_snapshot(l1_snapshot)
-            if llc_snapshot is not None:
-                self.llc_view.restore_snapshot(llc_snapshot)
-            addrs = addrs[:count]
-            if count:
-                # Deterministic replay of the kept prefix from the
-                # restored state, through the fast resolver (the replay
-                # needs no snapshots of its own — it always commits).
-                latencies, replay_token = self.resolve_block(
-                    addrs, speculative=False
-                )
-                masks = replay_token[2]
-                if masks is not None:
-                    miss_mask, llc_hits = masks
-                else:
-                    miss_mask = latencies != self._l1_latency
-                    llc_hits = latencies[miss_mask] == self._llc_latency
-            else:
-                return
-        elif not count:
-            return
-        elif masks is not None:
-            miss_mask, llc_hits = masks
-        else:
-            miss_mask = latencies != self._l1_latency
-            llc_hits = latencies[miss_mask] == self._llc_latency
-
-        counts = self.level_counts
-        num_misses = int(np.count_nonzero(miss_mask))
-        counts[MemoryLevel.L1] += count - num_misses
-        num_llc = int(np.count_nonzero(llc_hits))
-        counts[MemoryLevel.LLC] += num_llc
-        counts[MemoryLevel.DRAM] += num_misses - num_llc
-        self._feed_monitor(addrs, count, metric_excluded, hashes, miss_mask)
-
-    def access_block(
-        self,
-        addrs: np.ndarray,
-        metric_excluded: np.ndarray | None = None,
-        hashes: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Resolve a run of memory accesses in one call.
-
-        Returns the per-access round-trip latencies as an int64 array.
-        ``metric_excluded`` (aligned boolean array) carries the secret
-        annotations; ``hashes`` optionally carries precomputed SplitMix64
-        address hashes for a set-sampling monitor. State and counters
-        afterwards are exactly as if :meth:`access` had been called once
-        per address in order.
-        """
-        latencies, token = self.resolve_block(addrs, speculative=False)
-        self.commit_block(token, int(addrs.shape[0]), metric_excluded, hashes)
-        return latencies
+        observe = monitor.observe
+        for line_addr in addrs.tolist():
+            observe(line_addr)
 
     def reset_level_counts(self) -> None:
         """Zero the per-level service counters (used at warmup end)."""

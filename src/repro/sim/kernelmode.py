@@ -3,9 +3,9 @@
 The simulator has two equivalent inner kernels:
 
 * ``batched`` — the production path: packed-recency caches
-  (:class:`repro.sim.cache.SetAssociativeCache`), block resolution of
-  memory-access runs through :meth:`repro.sim.hierarchy.DomainMemory.access_block`,
-  and vectorized stall accounting in :class:`repro.sim.cpu.Core`.
+  (:class:`repro.sim.cache.SetAssociativeCache`) walked inline by one
+  exact per-event core loop with its state in locals
+  (:meth:`repro.sim.cpu.Core.run`).
 * ``reference`` — the original per-access kernel: list-based caches
   (:class:`repro.sim.cache.ReferenceSetAssociativeCache`) and the
   one-call-per-access core loop, retained for differential testing and

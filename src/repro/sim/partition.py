@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.cache import CacheStats, SetAssociativeCache
 from repro.sim.kernelmode import make_cache
@@ -49,33 +47,7 @@ class LLCView:
     :class:`PartitionedLLC`, or a :class:`SharedLLC` bound to a domain.
     """
 
-    #: Whether this view supports speculative runs (snapshot + restore).
-    #: Views that keep it ``False`` still work with every scalar path and
-    #: with :meth:`access_run`; the batched CPU kernel simply falls back
-    #: to the reference loop for cores attached to them.
-    supports_speculation = False
-
     def access(self, line_addr: int) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def access_run(self, addrs: np.ndarray) -> np.ndarray:
-        """Resolve a run of accesses; returns the hit/miss boolean vector.
-
-        The default loops over :meth:`access`, so any view is batchable;
-        the concrete views override it with one-call kernel paths.
-        """
-        return np.fromiter(
-            (self.access(int(a)) for a in addrs),
-            dtype=bool,
-            count=int(addrs.shape[0]),
-        )
-
-    def snapshot_for(self, addrs: np.ndarray) -> object:
-        """Snapshot the state an :meth:`access_run` over ``addrs`` may change."""
-        raise NotImplementedError
-
-    def restore_snapshot(self, snapshot: object) -> None:
-        """Undo changes made since the matching :meth:`snapshot_for`."""
         raise NotImplementedError
 
 
@@ -169,11 +141,6 @@ class PartitionedLLC:
         """Access a line within the domain's partition."""
         return self._caches[domain].access(line_addr)
 
-    def access_run(self, domain: int, addrs: np.ndarray) -> np.ndarray:
-        """Resolve a run of accesses within the domain's partition."""
-        hits, _ = self._caches[domain].access_run(addrs)
-        return hits
-
     def resize(self, domain: int, new_lines: int) -> ResizeOutcome:
         """Resize a domain's partition, enforcing the capacity invariant."""
         old_lines = self._sizes[domain]
@@ -201,8 +168,6 @@ class PartitionView(LLCView):
 
     __slots__ = ("_llc", "_domain")
 
-    supports_speculation = True
-
     def __init__(self, llc: PartitionedLLC, domain: int):
         self._llc = llc
         self._domain = domain
@@ -210,21 +175,12 @@ class PartitionView(LLCView):
     def access(self, line_addr: int) -> bool:
         return self._llc.access(self._domain, line_addr)
 
-    def access_run(self, addrs: np.ndarray) -> np.ndarray:
-        return self._llc.access_run(self._domain, addrs)
-
-    def snapshot_for(self, addrs: np.ndarray) -> object:
-        return self._llc._caches[self._domain].snapshot_for(addrs)
-
-    def restore_snapshot(self, snapshot: object) -> None:
-        self._llc._caches[self._domain].restore_snapshot(snapshot)
-
     def kernel_binding(self) -> tuple:
         """(backing cache, address offset, per-domain stats or None).
 
-        Lets the fused hierarchy kernel loop walk the backing cache
-        directly; a partition view has no address tagging and no separate
-        per-domain counters (the cache's own stats are the domain's).
+        Lets the batched CPU kernel walk the backing cache directly; a
+        partition view has no address tagging and no separate per-domain
+        counters (the cache's own stats are the domain's).
         """
         return self._llc._caches[self._domain], 0, None
 
@@ -282,35 +238,11 @@ class SharedLLC:
             stats.misses += 1
         return hit
 
-    def access_run(self, domain: int, addrs: np.ndarray) -> np.ndarray:
-        """Resolve a run of one domain's accesses against the shared cache."""
-        tagged = addrs + domain * self._DOMAIN_STRIDE
-        hits, _ = self._cache.access_run(tagged)
-        stats = self._domain_stats[domain]
-        num_hits = int(np.count_nonzero(hits))
-        stats.hits += num_hits
-        stats.misses += int(hits.shape[0]) - num_hits
-        return hits
-
-    def snapshot_for(self, domain: int, addrs: np.ndarray) -> tuple:
-        tagged = addrs + domain * self._DOMAIN_STRIDE
-        stats = self._domain_stats[domain]
-        return (self._cache.snapshot_for(tagged), stats.hits, stats.misses)
-
-    def restore_snapshot(self, domain: int, snapshot: tuple) -> None:
-        cache_snapshot, hits, misses = snapshot
-        self._cache.restore_snapshot(cache_snapshot)
-        stats = self._domain_stats[domain]
-        stats.hits = hits
-        stats.misses = misses
-
 
 class SharedView(LLCView):
     """A single domain's view of a :class:`SharedLLC`."""
 
     __slots__ = ("_llc", "_domain")
-
-    supports_speculation = True
 
     def __init__(self, llc: SharedLLC, domain: int):
         self._llc = llc
@@ -319,21 +251,12 @@ class SharedView(LLCView):
     def access(self, line_addr: int) -> bool:
         return self._llc.access(self._domain, line_addr)
 
-    def access_run(self, addrs: np.ndarray) -> np.ndarray:
-        return self._llc.access_run(self._domain, addrs)
-
-    def snapshot_for(self, addrs: np.ndarray) -> object:
-        return self._llc.snapshot_for(self._domain, addrs)
-
-    def restore_snapshot(self, snapshot: object) -> None:
-        self._llc.restore_snapshot(self._domain, snapshot)
-
     def kernel_binding(self) -> tuple:
         """(backing cache, address offset, per-domain stats).
 
-        The fused kernel loop adds the offset to every address (the
+        The batched CPU kernel adds the offset to every address (the
         shared LLC's domain tagging) and bulk-updates the domain's
-        hit/miss stats, mirroring :meth:`SharedLLC.access_run`.
+        hit/miss stats, mirroring :meth:`SharedLLC.access`.
         """
         llc = self._llc
         domain = self._domain

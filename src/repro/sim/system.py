@@ -19,7 +19,6 @@ charge leakage); the system owns all mechanism.
 
 from __future__ import annotations
 
-from collections.abc import Generator
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -30,7 +29,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.liveness import progress_beat
-from repro.sim.batch import drive_kernel
 from repro.sim.cpu import Core, CoreConfig, InstructionStream, StopReason
 from repro.sim.hierarchy import DomainMemory
 from repro.sim.kernelmode import kernel_mode
@@ -203,82 +201,54 @@ class MultiDomainSystem:
         with obs_trace.span(
             "sim.run", scheme=self.scheme.name, kernel=kernel_mode()
         ) as span:
-            now, quanta, completed = drive_kernel(self.run_gen(max_cycles))
-            span.set(
-                total_cycles=now,
-                quanta=quanta,
-                completed=completed,
-                **self._observability_attrs(),
-            )
-        return self.finish(now, quanta, completed)
-
-    def run_gen(self, max_cycles: int = 50_000_000) -> Generator:
-        """Generator form of :meth:`run` for the stacked-lanes driver.
-
-        Forwards the cores' ``("cumsum", deltas, out)`` requests
-        unchanged and flags every resizing assessment with a
-        ``("diverge", "assessment", domain)`` marker (reply ignored), so
-        a driver interleaving several systems can count lanes leaving
-        the vectorized pass. Returns ``(now, quanta, completed)``; the
-        caller passes that to :meth:`finish` for the
-        :class:`SystemResult`. No trace span is held across yields —
-        the span stack is thread-local and strictly nested, so
-        :meth:`run` opens it around the whole drive and a stacked
-        driver opens its own around all lanes.
-        """
-        now = 0
-        next_sample = 0
-        quanta = 0
-        completed = False
-        while now < max_cycles:
-            if self.all_finished:
-                completed = True
-                break
-            quantum_end = now + self.quantum
-            for core in self.cores:
-                while core.cycles < quantum_end:
-                    target = self.scheme.progress_target(core.domain)
-                    reason = yield from core.run_gen(float(quantum_end), target)
-                    if reason is StopReason.PROGRESS:
+            now = 0
+            next_sample = 0
+            quanta = 0
+            completed = False
+            while now < max_cycles:
+                if self.all_finished:
+                    completed = True
+                    break
+                quantum_end = now + self.quantum
+                for core in self.cores:
+                    while core.cycles < quantum_end:
+                        target = self.scheme.progress_target(core.domain)
+                        reason = core.run(float(quantum_end), target)
+                        if reason is not StopReason.PROGRESS:
+                            break
                         self.scheme.on_progress(self, core.domain, core.now)
                         if self.scheme.progress_target(core.domain) == target:
                             raise SimulationError(
                                 "scheme did not advance the progress target "
                                 f"of domain {core.domain}"
                             )
-                        yield ("diverge", "assessment", core.domain)
-                    else:
-                        break
-            now = quantum_end
-            quanta += 1
-            # Liveness evidence for the engine's worker heartbeats:
-            # a quantum is thousands of simulated accesses, so this
-            # is far off the hot path.
-            progress_beat()
-            self.scheme.on_quantum(self, now)
-            if now >= next_sample:
-                self.sample_partition_sizes(now)
-                next_sample = now + self.sample_interval
-        # The loop's finished-check runs at quantum tops only, so a run
-        # whose last core retires during the final quantum at exactly
-        # max_cycles would otherwise be misreported as incomplete.
-        if not completed:
-            completed = self.all_finished
-        # Close the measurement window of any domain whose slice the
-        # max_cycles cap cut short, so partial slices report IPC over
-        # the instructions that actually ran instead of a silent 0.
-        # ``finished`` stays False: completion checks are unaffected.
-        for core in self.cores:
-            core.stats.close_measurement_window(core.cycles, core.retired)
-        return (now, quanta, completed)
-
-    def finish(self, now: int, quanta: int, completed: bool) -> SystemResult:
-        """Book per-run metrics and assemble the :class:`SystemResult`.
-
-        Split from :meth:`run_gen` so both the sequential path and the
-        stacked-lanes driver finalize a run exactly once, with identical
-        accounting.
-        """
+                now = quantum_end
+                quanta += 1
+                # Liveness evidence for the engine's worker heartbeats:
+                # a quantum is thousands of simulated accesses, so this
+                # is far off the hot path.
+                progress_beat()
+                self.scheme.on_quantum(self, now)
+                if now >= next_sample:
+                    self.sample_partition_sizes(now)
+                    next_sample = now + self.sample_interval
+            # The loop's finished-check runs at quantum tops only, so a run
+            # whose last core retires during the final quantum at exactly
+            # max_cycles would otherwise be misreported as incomplete.
+            if not completed:
+                completed = self.all_finished
+            # Close the measurement window of any domain whose slice the
+            # max_cycles cap cut short, so partial slices report IPC over
+            # the instructions that actually ran instead of a silent 0.
+            # ``finished`` stays False: completion checks are unaffected.
+            for core in self.cores:
+                core.stats.close_measurement_window(core.cycles, core.retired)
+            span.set(
+                total_cycles=now,
+                quanta=quanta,
+                completed=completed,
+                **self._observability_attrs(),
+            )
         _M_RUNS.inc()
         _M_QUANTA.inc(quanta)
         _M_CYCLES.inc(now)

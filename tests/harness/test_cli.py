@@ -231,9 +231,6 @@ SETTING_CASES = {
     "REPRO_BATCH_CELLS": (
         "4", "4", ["--batch-cells", "1"], attrgetter("batch_cells")
     ),
-    "REPRO_SIM_STACK": (
-        "3", "3", ["--stack-lanes", "0"], attrgetter("stack_lanes")
-    ),
     "REPRO_RESUME": ("TRUE", "0", ["--resume"], attrgetter("resume")),
     "REPRO_CACHE": (
         "0",

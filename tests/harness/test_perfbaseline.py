@@ -29,7 +29,7 @@ def payload(raw_speedup=4.0, cells=None, fmt=1):
     }
 
 
-def campaign_payload(batched=2.0, stacked=2.5, identical=True):
+def campaign_payload(batched=2.0, identical=True):
     return {
         "format": 1,
         "kind": "campaign",
@@ -39,11 +39,6 @@ def campaign_payload(batched=2.0, stacked=2.5, identical=True):
         "batched": {
             "seconds": 4.0 / batched,
             "speedup": batched,
-            "identical": identical,
-        },
-        "stacked": {
-            "seconds": 4.0 / stacked,
-            "speedup": stacked,
             "identical": identical,
         },
     }
@@ -94,10 +89,6 @@ class TestCompare:
             campaign_payload(batched=1.0), campaign_payload(), tolerance=0.30
         )
         assert [r.measurement for r in regressions] == ["campaign/batched"]
-        regressions = compare(
-            campaign_payload(stacked=1.0), campaign_payload(), tolerance=0.30
-        )
-        assert [r.measurement for r in regressions] == ["campaign/stacked"]
 
     def test_campaign_identity_failure_outranks_timing(self):
         current = campaign_payload()

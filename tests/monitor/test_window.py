@@ -1,11 +1,19 @@
 """Tests for the Fenwick tree and reuse-distance tracker."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.monitor.window import COLD_DISTANCE, FenwickTree, ReuseDistanceTracker
+from repro.monitor.umon import UMONMonitor
+from repro.monitor.window import (
+    _COMPACT_FACTOR,
+    _COMPACT_FLOOR,
+    COLD_DISTANCE,
+    FenwickTree,
+    ReuseDistanceTracker,
+)
 
 
 def naive_reuse_distances(addresses):
@@ -180,3 +188,42 @@ def test_reuse_distance_predicts_fa_lru_hits(addresses, capacity):
         distance = tracker.observe(addr)
         hit = cache.access(addr)
         assert hit == (distance != COLD_DISTANCE and distance < capacity)
+
+
+class TestCompaction:
+    """observe_run renumbers its markers; distances and bins never move."""
+
+    @staticmethod
+    def _runs(seed, lines, total):
+        rng = np.random.default_rng(seed)
+        runs, done = [], 0
+        while done < total:
+            size = int(rng.integers(0, 400))
+            runs.append(rng.integers(0, lines, size=size).tolist())
+            done += size
+        return runs
+
+    @pytest.mark.parametrize("lines", [50, 3000])
+    def test_distances_match_a_non_compacting_tracker(self, lines):
+        compacting = ReuseDistanceTracker()
+        plain = ReuseDistanceTracker()  # per-address observe never compacts
+        for run in self._runs(lines, lines, 30_000):
+            assert compacting.observe_run(run) == [plain.observe(a) for a in run]
+        assert compacting.distinct_lines == plain.distinct_lines
+        # The plain tree grew with every observation; the compacting one
+        # stays a few times the working set.
+        bound = 2 * _COMPACT_FACTOR * max(lines, _COMPACT_FLOOR)
+        assert compacting._fenwick._size <= bound < plain._fenwick._size
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_monitor_bins_match_per_access_observes(self, shift):
+        sizes = (8, 32, 128, 512)
+        batched = UMONMonitor(sizes, window=700, sampling_shift=shift)
+        scalar = UMONMonitor(sizes, window=700, sampling_shift=shift)
+        for run in self._runs(7, 600, 30_000):
+            batched.observe_block(np.array(run, dtype=np.int64))
+            for addr in run:
+                scalar.observe(addr)
+            assert batched._bins.tolist() == scalar._bins.tolist()
+        assert batched.total_observed == scalar.total_observed
+        assert batched._tracker._clock < scalar._tracker._clock

@@ -126,7 +126,6 @@ class TestBattery:
         assert report.check("principles").status == "skipped"
         assert report.check("action-leakage").status == "skipped"
         assert report.check("kernel-identity").status == "passed"
-        assert report.check("lane-stacking").status == "passed"
         assert report.check("store-tokens").status == "passed"
         assert report.check("telemetry").status == "passed"
 

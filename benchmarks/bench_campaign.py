@@ -1,5 +1,5 @@
 """Campaign dispatch benchmark: per-cell vs chunked dispatch through
-the work-stealing supervisor.
+the supervisor's run queue.
 
 Measures what chunked dispatch (``repro.harness.exec``) buys on a
 skewed campaign and writes the results to ``BENCH_campaign.json`` at
@@ -8,9 +8,9 @@ the repository root:
 * **serial** — ``jobs=1``: the in-process reference whose results
   every parallel mode must reproduce byte-for-byte (run once, only to
   anchor bit-identity);
-* **stolen** — ``jobs=4`` with ``batch_cells=1``: longest-expected-
-  first seeding onto per-worker deques plus steal-on-idle, one cell
-  per dispatch — the baseline the speedups are measured against;
+* **percell** — ``jobs=4`` with ``batch_cells=1``: one cell per
+  dispatch, most expensive first off the one run queue — the baseline
+  the speedups are measured against;
 * **batched** — ``batch_cells=8``: a whole batch group rides in one
   chunk to one worker, sharing that process's memoizers.
 
@@ -22,16 +22,15 @@ Per-cell dispatch hands the leading untangle cells to all four
 workers, so the campaign pays the solve *four times*. Cell-major chunking dispatches the untangle group as
 whole chunks to far fewer workers, each of which solves once and
 reuses the table for the rest of its chunk: less total work, not just
-better overlap, so the speedup survives even a single-core CI host.
-Work stealing's own benefit is overlap — rebalancing stragglers across
-cores — which a few-core host cannot show (the ``campaign`` section
-records the host's core count for context); its balancing guarantees
-are pinned deterministically by ``tests/harness/test_scheduler.py``.
+better overlap, so the speedup survives even a single-core CI host
+(the ``campaign`` section records the host's core count for context).
+The run queue's ordering and balance guarantees are pinned
+deterministically by ``tests/harness/test_scheduler.py``.
 
 Methodology matches ``bench_store.py``: every measurement runs in a
 fresh child interpreter (clean memoizers and metrics), repetitions are
 interleaved so all modes see the same machine drift, and the per-mode
-minimum is reported. The recorded *speedup* (stolen/batched on the
+minimum is reported. The recorded *speedup* (percell/batched on the
 same host) is the machine-independent
 quantities the perf regression check (:mod:`repro.harness.perfbaseline`,
 CI ``perf-smoke`` job) compares. All modes must be bit-identical to
@@ -79,13 +78,12 @@ FORMAT_VERSION = 1
 #: Engine parameters per measured mode.
 MODES: dict[str, dict] = {
     "serial": {"jobs": 1},
-    "stolen": {"jobs": JOBS, "batch_cells": 1},
+    "percell": {"jobs": JOBS, "batch_cells": 1},
     "batched": {"jobs": JOBS, "batch_cells": 8},
 }
 
 #: Scheduling telemetry shipped from the child for the report.
 TELEMETRY_KEYS = (
-    "steals",
     "batches",
     "batched_cells",
     "wall_seconds",
@@ -203,7 +201,7 @@ def _measure(mode: str, quick: bool) -> dict:
 
 
 def bench_campaign(quick: bool, reps: int) -> dict:
-    walls: dict[str, list[float]] = {"stolen": [], "batched": []}
+    walls: dict[str, list[float]] = {"percell": [], "batched": []}
     telemetry: dict[str, dict] = {}
     fingerprints: list = []
 
@@ -213,15 +211,14 @@ def bench_campaign(quick: bool, reps: int) -> dict:
     print(f"  serial reference {serial['wall']:6.2f}s", flush=True)
 
     for rep in range(reps):
-        for mode in ("stolen", "batched"):
+        for mode in ("percell", "batched"):
             report = _measure(mode, quick)
             walls[mode].append(report["wall"])
             telemetry[mode] = report["telemetry"]
             fingerprints.append((mode, report["fingerprint"]))
             print(
                 f"  rep {rep + 1}/{reps} {mode:8s} {report['wall']:6.2f}s  "
-                f"chunks={report['telemetry']['batches']:3d} "
-                f"steals={report['telemetry']['steals']:3d}",
+                f"chunks={report['telemetry']['batches']:3d}",
                 flush=True,
             )
 
@@ -231,7 +228,7 @@ def bench_campaign(quick: bool, reps: int) -> dict:
         divergent = sorted({mode for mode, fp in fingerprints if fp != reference})
         raise AssertionError(f"campaign results diverge across modes: {divergent}")
 
-    stolen = min(walls["stolen"])
+    percell = min(walls["percell"])
     batched = min(walls["batched"])
     return {
         "campaign": {
@@ -243,14 +240,14 @@ def bench_campaign(quick: bool, reps: int) -> dict:
             "host_cores": os.cpu_count(),
         },
         "serial": {"seconds": serial["wall"]},
-        "stolen": {
-            "seconds": stolen,
+        "percell": {
+            "seconds": percell,
             "identical": identical,
-            "telemetry": telemetry["stolen"],
+            "telemetry": telemetry["percell"],
         },
         "batched": {
             "seconds": batched,
-            "speedup": stolen / batched,
+            "speedup": percell / batched,
             "identical": identical,
             "telemetry": telemetry["batched"],
         },
@@ -295,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     results = bench_campaign(args.quick, reps)
 
-    for mode in ("stolen", "batched"):
+    for mode in ("percell", "batched"):
         entry = results[mode]
         speedup = (
             f"  speedup={entry['speedup']:5.2f}x" if "speedup" in entry else ""

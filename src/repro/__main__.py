@@ -26,11 +26,11 @@ and timing counters to stderr afterwards. Each engine flag has a
 ``--no-cache``/``REPRO_CACHE=0``, ...); a flag beats its env var, which
 beats the default (``repro.harness.exec.ENGINE_SETTINGS``).
 
-Parallel runs schedule through a work-stealing supervisor: chunks of
+Parallel runs schedule through one supervisor run queue: chunks of
 batch-compatible cells go to one worker — sized by ``--batch-cells``
-(``0`` = auto, ``1`` = one cell per dispatch) — seeded
-longest-expected-first from journal runtime history, with idle workers
-stealing from the most loaded peer (see ``docs/performance.md``).
+(``0`` = auto, ``1`` = one cell per dispatch) — most expensive first by
+registered scheme cost weight, each idle worker taking the next chunk
+(see ``docs/performance.md``).
 
 Cells additionally share a cross-cell *precompute store*
 (``docs/performance.md``): workload traces and Untangle rate tables are

@@ -187,9 +187,6 @@ _M_CELL_SECONDS = _REG.histogram(
     "Per-cell wall time (completed cells)",
     buckets=obs_metrics.CELL_SECONDS_BUCKETS,
 )
-_M_STEALS = _REG.counter(
-    "repro_steals_total", "Chunks stolen from a peer worker's deque"
-)
 _M_BATCH_CELLS = _REG.histogram(
     "repro_batch_cells",
     "Cells per dispatched chunk",
@@ -988,8 +985,6 @@ class EngineTelemetry:
     #: the campaign — a warm store drives both to zero.
     workload_builds: int = 0
     rmax_solves: int = 0
-    #: Chunks stolen from a peer worker's deque.
-    steals: int = 0
     #: Chunks sent to workers / cells carried by those chunks. Equal
     #: when ``batch_cells=1``; their ratio is the realized batch factor.
     batches_dispatched: int = 0
@@ -1085,7 +1080,7 @@ class EngineTelemetry:
             "store_quarantines": self.store_quarantines,
             "workload_builds": self.workload_builds,
             "rmax_solves": self.rmax_solves,
-            "steals": self.steals,
+            "steals": 0,  # read by perfbench/run.py (engine.steals)
             "batches": self.batches_dispatched,
             "batched_cells": self.batched_cells,
             "records_dropped": self.records_dropped,
@@ -1171,14 +1166,14 @@ def backoff_delay(
 
 
 # ----------------------------------------------------------------------
-# Cost model (deque seeding)
+# Cost model (run-queue order)
 # ----------------------------------------------------------------------
 def _cost_family(label: str) -> str:
     """The scheduling family of a cell label (its trailing component).
 
     ``mix[...]/untangle`` → ``untangle``; parameter overrides are
     stripped (``.../threshold{expand_fraction=0.95}`` → ``threshold``)
-    so variants of one scheme share its cost history and weight;
+    so variants of one scheme share its weight;
     ``sensitivity[x]/4096`` → ``4096`` (sensitivity sizes fall through
     to the default weight, which is fine — they are mutually
     homogeneous).
@@ -1187,79 +1182,21 @@ def _cost_family(label: str) -> str:
     return family.split("{", 1)[0]
 
 
-def _family_weight(family: str) -> float:
-    """Static cost seed for a family, from its scheme registration.
+def expected_cost(cell: Any) -> float:
+    """Expected relative runtime of one cell, for LPT dispatch order.
 
-    Registered schemes declare their relative cost (Untangle variants
-    pay monitors + Dinkelbach-style assessments; Time pays monitors;
-    Static/Shared are bare simulation); non-scheme families — e.g.
-    sensitivity partition sizes — take the neutral weight.
+    The registered ``cost_weight`` of the label's scheme family
+    (Untangle variants pay monitors + Dinkelbach-style assessments;
+    Time pays monitors; Static/Shared are bare simulation); non-scheme
+    families — e.g. sensitivity partition sizes — take the neutral
+    weight. Only the *ordering* matters: an inaccurate estimate costs
+    balance, never correctness, because idle workers keep taking the
+    next queued chunk.
     """
     from repro.registry import scheme_cost_weight
 
-    weight = scheme_cost_weight(family)
+    weight = scheme_cost_weight(_cost_family(cell.label))
     return 1.0 if weight is None else weight
-
-
-def runtime_hints_from_entries(
-    entries: dict[str, JournalEntry]
-) -> dict[Any, float]:
-    """Mean computed wall-seconds by label, (family, profile), and family.
-
-    Only ``computed`` entries count: hits/replays report ~zero wall and
-    would drag an estimate toward "free". Three hint granularities are
-    built from one pass:
-
-    * exact cell label — real per-cell history, what lets the
-      cost-aware chunk planner see skew *inside* one batch group (whose
-      cells all share a family and profile);
-    * ``(family, profile)`` — so a ``bench``-profile campaign never
-      inherits stale full-profile means and misplans its chunks
-      (profiles differ in workload scale by orders of magnitude);
-    * bare family — legacy granularity, kept only for journal entries
-      recorded before profiles were journaled (no profile field).
-    """
-    sums: dict[Any, list[float]] = {}
-    for entry in entries.values():
-        if entry.status != "computed":
-            continue
-        family = _cost_family(entry.label)
-        sums.setdefault(entry.label, []).append(entry.wall_seconds)
-        if entry.profile is not None:
-            sums.setdefault((family, entry.profile), []).append(
-                entry.wall_seconds
-            )
-        else:
-            sums.setdefault(family, []).append(entry.wall_seconds)
-    return {key: sum(walls) / len(walls) for key, walls in sums.items()}
-
-
-def expected_cost(cell: Any, hints: dict[Any, float]) -> float:
-    """Expected relative runtime of one cell, for LPT deque seeding.
-
-    Preference order: measured journal history — the cell's own label,
-    then its (family, profile), then the legacy bare family — then the
-    cell's own ``cost_hint()`` (if it defines one), then the static
-    family weight table. Only the *ordering* matters — an inaccurate
-    estimate degrades the seeding, never correctness, and work stealing
-    recovers the imbalance at run time.
-    """
-    family = _cost_family(cell.label)
-    hint = hints.get(cell.label)
-    if hint is not None:
-        return hint
-    profile = getattr(cell, "profile", None)
-    if profile is not None:
-        hint = hints.get((family, profile.name))
-        if hint is not None:
-            return hint
-    hint = hints.get(family)
-    if hint is not None:
-        return hint
-    own = getattr(cell, "cost_hint", None)
-    if own is not None:
-        return float(own())
-    return _family_weight(family)
 
 
 # ----------------------------------------------------------------------
@@ -1410,23 +1347,12 @@ def _worker_main(
 # Worker supervision
 # ----------------------------------------------------------------------
 @dataclass
-class _Chunk:
-    """A run of batch-compatible cells dispatched to one worker as a unit."""
-
-    cells: list[tuple[int, Any, str]]  # (index, cell, key)
-    #: Summed expected cost — orders LPT seeding and steal-victim choice.
-    cost: float
-
-
-@dataclass
 class _Worker:
     """Supervisor-side handle for one worker process."""
 
     process: Any
     conn: multiprocessing.connection.Connection
     id: int
-    #: Scheduling slot (deque index); stable across respawns.
-    slot: int
     #: Cells of the in-flight chunk that have not reported a result yet;
     #: ``chunk[0]`` is the cell currently executing (the deadline applies
     #: to it alone). Empty when the worker is idle.
@@ -1451,20 +1377,20 @@ class _Supervisor:
     Unlike the former round-barrier ``Pool.apply_async`` loop, tasks are
     assigned to dedicated workers with per-task deadlines: a hung or
     crashed worker is killed and respawned immediately, its task is
-    rescheduled with backoff, and every other slot keeps streaming cells
-    — no failure can stall the round or leak a pool slot.
+    rescheduled with backoff, and every other worker keeps streaming
+    cells — no failure can stall the round or leak a pool slot.
 
     Pending cells are grouped into batch-compatible *chunks* (cell-
     major batching: one worker runs a run of cells back to back) and
-    seeded onto per-slot deques longest-expected-
-    first (LPT, using journal runtime hints). A worker that drains its
-    own deque steals the cheapest chunk from the most loaded peer, so
-    one straggler slot cannot serialize the tail of a campaign.
+    queued on **one run queue**, most expensive first (LPT by
+    registered cost weight). Every idle worker takes the first ready
+    entry, so no worker idles while work is queued and a straggler can
+    only ever hold the one worker running it.
 
     Workers report results per *cell*, attempts/deadlines are booked
     per cell, and outcomes are bit-identical to serial execution.
-    Backed-off retries live in the global ``queue`` and take priority
-    over unstarted chunks.
+    Backed-off retries queue ahead of planned chunks, in the order they
+    failed, and dispatch once their backoff has elapsed.
     """
 
     #: How long one poll of the worker pipes blocks, seconds. Bounds
@@ -1474,18 +1400,19 @@ class _Supervisor:
     def __init__(self, engine: "ExecutionEngine", pending):
         self.engine = engine
         self.context = multiprocessing.get_context()
-        # (index, cell, key, ready_at): backed-off retries; ready_at
-        # defers them.
-        self.queue: deque[tuple[int, Any, str, float]] = deque()
         self.attempts = {index: 0 for index, _, _ in pending}
         #: Cumulative elapsed seconds per cell across all its attempts —
         #: crashed/hung/failed attempts included, so telemetry no longer
         #: undercounts failed cells as zero-cost.
         self.elapsed = {index: 0.0 for index, _, _ in pending}
         slots = min(engine.jobs, len(pending))
-        self.deques: list[deque[_Chunk]] = [deque() for _ in range(slots)]
-        self.hints = engine._runtime_hints()
-        self._seed_deques(self._plan_chunks(pending))
+        #: The run queue of ``(ready_at, cells)`` entries. Backed-off
+        #: retries form its prefix, each with ``ready_at`` = the end of
+        #: its backoff; dead chunks' unstarted tails and planned chunks
+        #: follow with ``ready_at = 0.0``.
+        self.queue: deque[tuple[float, list]] = deque(
+            (0.0, cells) for cells in self._plan_chunks(pending, slots)
+        )
         #: Per-cell count of attempts that ended in a worker *death*
         #: (crash / deadline kill / stall kill) rather than a reported
         #: error — the poison circuit breaker's evidence.
@@ -1511,21 +1438,13 @@ class _Supervisor:
                     self._unresponsive_after, 0.6 * self._stall_kill
                 )
         self._next_worker_id = 0
-        self.workers = [self._spawn(slot) for slot in range(slots)]
+        self.workers = [self._spawn() for _ in range(slots)]
 
     # ------------------------------------------------------------------
-    # Chunk planning and deque seeding
+    # Chunk planning and the run queue
     # ------------------------------------------------------------------
-    def _chunk_cost(self, cells) -> float:
-        return sum(expected_cost(cell, self.hints) for _, cell, _ in cells)
-
-    #: A batch group is *skewed* when its most expensive cell is hinted
-    #: at more than this multiple of the group's median cell cost; the
-    #: outliers then dispatch as singleton chunks.
-    SKEW_FACTOR = 2.0
-
-    def _plan_chunks(self, pending) -> list[_Chunk]:
-        """Group batch-compatible cells into dispatch chunks, cost-aware.
+    def _plan_chunks(self, pending, slots: int) -> list[list]:
+        """Group batch-compatible cells into dispatch chunks, LPT order.
 
         Cells sharing a ``batch_group()`` key are packed, in input
         order, into runs of at most ``engine.batch_cells`` cells. When
@@ -1535,16 +1454,9 @@ class _Supervisor:
         expensive Untangle cells of a mixed campaign — stay singletons).
         Cells without a ``batch_group`` hook are never chunked.
 
-        Cost awareness: when journal-hinted runtimes inside one group
-        are skewed (:attr:`SKEW_FACTOR`), the stragglers split off as
-        singleton chunks instead of chunking purely by count — a chunk
-        is a scheduling atom, so a straggler packed with cheap peers
-        would pin them all to one worker's lap.
-        Per-cell skew is only visible through per-label journal
-        history; without it every cell in a group shares one estimate
-        and the split never triggers.
+        Chunks come back most expensive first by summed
+        :func:`expected_cost`; equal costs keep plan order.
         """
-        slots = max(1, len(self.deques))
         groups: dict[Any, list] = {}
         order: list[tuple[Any, list]] = []  # plan order, groups coalesced
         for task in pending:
@@ -1557,7 +1469,7 @@ class _Supervisor:
                 groups[group] = []
                 order.append((group, groups[group]))
             groups[group].append(task)
-        chunks: list[_Chunk] = []
+        chunks: list[list] = []
         for group, cells in order:
             if group is None:
                 cap = 1
@@ -1565,57 +1477,34 @@ class _Supervisor:
                 cap = min(MAX_BATCH_CELLS, self.engine.batch_cells)
             else:
                 cap = max(1, min(MAX_BATCH_CELLS, len(cells) // (slots * 2)))
-            stragglers, cells = self._split_skewed(group, cells)
-            for task in stragglers:
-                chunks.append(
-                    _Chunk(cells=[task], cost=self._chunk_cost([task]))
-                )
-            for start in range(0, len(cells), cap):
-                run = cells[start : start + cap]
-                chunks.append(_Chunk(cells=run, cost=self._chunk_cost(run)))
-        return chunks
+            chunks.extend(
+                cells[start : start + cap]
+                for start in range(0, len(cells), cap)
+            )
+        return sorted(
+            chunks,
+            key=lambda run: sum(expected_cost(cell) for _, cell, _ in run),
+            reverse=True,
+        )
 
-    def _split_skewed(self, group, cells):
-        """Partition one batch group into (stragglers, normal cells).
+    def _front(self) -> int:
+        """Queue position just behind the queued retries (the only
+        entries with a nonzero ``ready_at``)."""
+        position = 0
+        while position < len(self.queue) and self.queue[position][0]:
+            position += 1
+        return position
 
-        Both halves preserve input order. A group is left whole unless
-        its hinted max exceeds ``SKEW_FACTOR`` times its median — with
-        family-level hints only (identical estimates across the group)
-        that never happens, so this is exactly the lever per-label
-        journal hints unlock.
-        """
-        if group is None or len(cells) < 2:
-            return [], list(cells)
-        costs = [expected_cost(cell, self.hints) for _, cell, _ in cells]
-        median = sorted(costs)[len(costs) // 2]
-        threshold = self.SKEW_FACTOR * median
-        if median <= 0 or max(costs) <= threshold:
-            return [], list(cells)
-        stragglers = [t for t, c in zip(cells, costs) if c > threshold]
-        normal = [t for t, c in zip(cells, costs) if c <= threshold]
-        return stragglers, normal
-
-    def _seed_deques(self, chunks: list[_Chunk]) -> None:
-        """Longest-processing-time-first seeding.
-
-        Chunks are placed, most expensive first, onto the currently
-        least-loaded slot (the classic LPT greedy). Each deque therefore
-        holds its chunks in non-increasing cost order: owners pop
-        expensive work from the front, thieves steal cheap work from
-        the back.
-        """
-        if not self.deques:
-            return
-        load = [0.0] * len(self.deques)
-        for chunk in sorted(
-            chunks, key=lambda chunk: chunk.cost, reverse=True
-        ):
-            slot = min(range(len(load)), key=lambda s: (load[s], s))
-            self.deques[slot].append(chunk)
-            load[slot] += chunk.cost
+    def _next_chunk(self, now: float):
+        """Pop the first ready run of cells off the queue, or ``None``."""
+        for position, (ready_at, cells) in enumerate(self.queue):
+            if ready_at <= now:
+                del self.queue[position]
+                return cells
+        return None
 
     # ------------------------------------------------------------------
-    def _spawn(self, slot: int) -> _Worker:
+    def _spawn(self) -> _Worker:
         parent_conn, child_conn = self.context.Pipe()
         worker_id = self._next_worker_id
         self._next_worker_id += 1
@@ -1636,7 +1525,6 @@ class _Supervisor:
             process=process,
             conn=parent_conn,
             id=worker_id,
-            slot=slot,
             last_beat=time.monotonic(),
         )
 
@@ -1656,23 +1544,56 @@ class _Supervisor:
             pass
 
     def _replace(self, worker: _Worker) -> None:
-        """Kill a crashed/hung worker; respawn into the same slot."""
+        """Kill a crashed/hung worker and spawn its replacement."""
         self._reap(worker)
         self.workers.remove(worker)
         # A replacement is always useful: the failed task is about to be
         # requeued by the caller (or other tasks are still queued), and
         # spawning is cheap next to multi-second simulation cells.
-        self.workers.append(self._spawn(worker.slot))
+        self.workers.append(self._spawn())
         self.engine.telemetry.workers_respawned += 1
         _M_WORKER["respawn"].inc()
         obs_trace.event("worker.respawn", worker=worker.id)
 
+    def _lose(
+        self, worker: _Worker, event: str, error: str, **attrs: Any
+    ) -> Iterator[tuple[int, CellOutcome]]:
+        """The one worker-loss path: crash, deadline kill or stall kill.
+
+        The chunk and deadline are cleared *first*, so no later sweep
+        can book the same loss again (e.g. a ``worker.timeout`` for a
+        cell a dead-at-dispatch worker never received). Then the head
+        cell is charged its elapsed time, the loss is counted
+        (``worker.crash`` as a crash, kills as timeouts) and traced,
+        the worker is replaced, the unstarted tail is requeued, and the
+        head cell books one failed attempt that killed its worker. The
+        tail never incremented ``attempts`` nor reported a result, so
+        it comes back unpenalized: ahead of planned work (it was next
+        in line) and without consuming retries.
+        """
+        cells = worker.chunk
+        worker.chunk = []
+        worker.deadline = None
+        index, cell, key = cells[0]
+        self.elapsed[index] += time.monotonic() - worker.started
+        if event == "worker.crash":
+            self.engine.telemetry.worker_crashes += 1
+            _M_WORKER["crash"].inc()
+        else:
+            self.engine.telemetry.worker_timeouts += 1
+            _M_WORKER["timeout"].inc()
+        obs_trace.event(event, worker=worker.id, label=cell.label, **attrs)
+        self._replace(worker)
+        if len(cells) > 1:
+            self.queue.insert(self._front(), (0.0, cells[1:]))
+        yield from self._attempt_failed(
+            index, cell, key, error, worker_died=True
+        )
+
     # ------------------------------------------------------------------
     def run(self) -> Iterator[tuple[int, CellOutcome]]:
         try:
-            while self._work_remaining() or any(
-                w.chunk for w in self.workers
-            ):
+            while self.queue or any(w.chunk for w in self.workers):
                 if self.engine._interrupted:
                     raise KeyboardInterrupt
                 yield from self._assign()
@@ -1680,73 +1601,17 @@ class _Supervisor:
         finally:
             self._shutdown()
 
-    def _work_remaining(self) -> bool:
-        return bool(self.queue) or any(self.deques)
-
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _next_chunk(self, slot: int, now: float):
-        """The next run of cells for an idle worker, or ``None``.
-
-        Backed-off retries (strictly older work) go first; then the
-        slot's own deque, front (most expensive) first; then a steal
-        from the most loaded peer.
-        """
-        for position, task in enumerate(self.queue):
-            if task[3] <= now:
-                del self.queue[position]
-                index, cell, key, _ = task
-                return [(index, cell, key)]
-        own = self.deques[slot]
-        if own:
-            return own.popleft().cells
-        return self._steal(slot)
-
-    def _peer_load(self, slot: int) -> tuple[float, int]:
-        """A slot's remaining load: summed expected chunk cost.
-
-        Cost — not chunk count — is the victim-selection weight, so a
-        peer holding one huge straggler outranks a peer holding many
-        already-cheap chunks. Chunk count is only the tie-break (more
-        chunks = more stealable units when costs are equal, e.g. when
-        no journal history exists yet and every hint is identical).
-        """
-        peer = self.deques[slot]
-        return (sum(chunk.cost for chunk in peer), len(peer))
-
-    def _steal(self, slot: int):
-        """Steal the cheapest chunk from the most loaded peer deque."""
-        victim = None
-        victim_load: tuple[float, int] = (0.0, 0)
-        for other, peer in enumerate(self.deques):
-            if other == slot or not peer:
-                continue
-            load = self._peer_load(other)
-            if victim is None or load > victim_load:
-                victim, victim_load = other, load
-        if victim is None:
-            return None
-        chunk = self.deques[victim].pop()  # cheapest end
-        self.engine.telemetry.steals += 1
-        _M_STEALS.inc()
-        obs_trace.event(
-            "cell.steal",
-            thief=slot,
-            victim=victim,
-            cells=len(chunk.cells),
-            label=chunk.cells[0][1].label,
-        )
-        return chunk.cells
-
     def _assign(self) -> Iterator[tuple[int, CellOutcome]]:
         now = time.monotonic()
         for worker in list(self.workers):
             if worker.chunk:
                 continue
-            cells = self._next_chunk(worker.slot, now)
+            cells = self._next_chunk(now)
             if cells is None:
-                continue
+                return
             yield from self._dispatch(worker, cells)
 
     def _dispatch(
@@ -1768,7 +1633,13 @@ class _Supervisor:
         try:
             worker.conn.send([(index, cell) for index, cell, _ in cells])
         except (OSError, ValueError):
-            yield from self._dispatch_failed(worker)
+            # The worker (or its pipe) is already dead.
+            yield from self._lose(
+                worker,
+                "worker.crash",
+                "worker died before dispatch",
+                exitcode=worker.process.exitcode,
+            )
 
     def _start_cell(self, worker: _Worker, now: float) -> None:
         """Book the head of the worker's chunk as executing now.
@@ -1797,50 +1668,6 @@ class _Supervisor:
         worker.stall_since = None
         worker.unresponsive_fired = False
 
-    def _dispatch_failed(
-        self, worker: _Worker
-    ) -> Iterator[tuple[int, CellOutcome]]:
-        """``conn.send`` failed: the worker (or its pipe) is already dead.
-
-        Handled synchronously — crash accounted exactly once, worker
-        replaced, head cell retried, unstarted tail requeued — with the
-        deadline cleared *before* anything else, so the deadline sweep
-        can never also book a ``worker.timeout`` for a cell the worker
-        never received.
-        """
-        cells = worker.chunk
-        worker.chunk = []
-        worker.deadline = None
-        index, cell, key = cells[0]
-        self.elapsed[index] += time.monotonic() - worker.started
-        self.engine.telemetry.worker_crashes += 1
-        _M_WORKER["crash"].inc()
-        obs_trace.event(
-            "worker.crash",
-            worker=worker.id,
-            label=cell.label,
-            exitcode=worker.process.exitcode,
-        )
-        self._replace(worker)
-        self._requeue_unstarted(worker.slot, cells[1:])
-        yield from self._attempt_failed(
-            index, cell, key, "worker died before dispatch", worker_died=True
-        )
-
-    def _requeue_unstarted(self, slot: int, cells) -> None:
-        """Return a dead chunk's not-yet-started cells to the schedule.
-
-        These cells never incremented ``attempts`` and never reported a
-        result, so they come back unpenalized: ahead of other pending
-        work (they were next in line) and without consuming retries.
-        """
-        if not cells:
-            return
-        cells = list(cells)
-        self.deques[slot].appendleft(
-            _Chunk(cells=cells, cost=self._chunk_cost(cells))
-        )
-
     def _collect(self) -> Iterator[tuple[int, CellOutcome]]:
         handles: dict[Any, _Worker] = {}
         for worker in self.workers:
@@ -1864,7 +1691,13 @@ class _Supervisor:
                 and now > worker.deadline
                 and worker.id not in serviced
             ):
-                yield from self._expire(worker)
+                yield from self._lose(
+                    worker,
+                    "worker.timeout",
+                    f"timeout after {self.engine.timeout:.1f}s "
+                    "(worker killed)",
+                    timeout=self.engine.timeout,
+                )
         if self._unresponsive_after is not None:
             yield from self._stall_sweep(now, serviced)
 
@@ -1919,33 +1752,13 @@ class _Supervisor:
                     progress=worker.last_progress,
                 )
             if self._stall_kill is not None and stalled >= self._stall_kill:
-                yield from self._stall_expire(worker, stalled)
-
-    def _stall_expire(
-        self, worker: _Worker, stalled: float
-    ) -> Iterator[tuple[int, CellOutcome]]:
-        """Kill a worker whose cell stalled past the stall deadline."""
-        cells = worker.chunk
-        worker.chunk = []
-        index, cell, key = cells[0]
-        self.elapsed[index] += time.monotonic() - worker.started
-        self.engine.telemetry.worker_timeouts += 1
-        _M_WORKER["timeout"].inc()
-        obs_trace.event(
-            "worker.stall-kill",
-            worker=worker.id,
-            label=cell.label,
-            stalled_seconds=round(stalled, 3),
-        )
-        error = (
-            f"no progress for {stalled:.1f}s despite heartbeats "
-            "(worker killed)"
-        )
-        self._replace(worker)
-        self._requeue_unstarted(worker.slot, cells[1:])
-        yield from self._attempt_failed(
-            index, cell, key, error, worker_died=True
-        )
+                yield from self._lose(
+                    worker,
+                    "worker.stall-kill",
+                    f"no progress for {stalled:.1f}s despite heartbeats "
+                    "(worker killed)",
+                    stalled_seconds=round(stalled, 3),
+                )
 
     def _note_beat(self, worker: _Worker, progress: int) -> None:
         """Fold one heartbeat into the worker's liveness state.
@@ -2022,45 +1835,12 @@ class _Supervisor:
             # An idle worker died (infant mortality): just replace it.
             self._replace(worker)
             return
-        cells = worker.chunk
-        worker.chunk = []
-        index, cell, key = cells[0]
-        self.elapsed[index] += time.monotonic() - worker.started
-        self.engine.telemetry.worker_crashes += 1
-        _M_WORKER["crash"].inc()
-        obs_trace.event(
+        exitcode = worker.process.exitcode
+        yield from self._lose(
+            worker,
             "worker.crash",
-            worker=worker.id,
-            label=cell.label,
-            exitcode=worker.process.exitcode,
-        )
-        error = f"worker crashed (exit code {worker.process.exitcode})"
-        self._replace(worker)
-        self._requeue_unstarted(worker.slot, cells[1:])
-        yield from self._attempt_failed(
-            index, cell, key, error, worker_died=True
-        )
-
-    def _expire(self, worker: _Worker) -> Iterator[tuple[int, CellOutcome]]:
-        """Kill a worker that blew the head cell's deadline; retry it."""
-        assert worker.chunk
-        cells = worker.chunk
-        worker.chunk = []
-        index, cell, key = cells[0]
-        self.elapsed[index] += time.monotonic() - worker.started
-        self.engine.telemetry.worker_timeouts += 1
-        _M_WORKER["timeout"].inc()
-        obs_trace.event(
-            "worker.timeout",
-            worker=worker.id,
-            label=cell.label,
-            timeout=self.engine.timeout,
-        )
-        error = f"timeout after {self.engine.timeout:.1f}s (worker killed)"
-        self._replace(worker)
-        self._requeue_unstarted(worker.slot, cells[1:])
-        yield from self._attempt_failed(
-            index, cell, key, error, worker_died=True
+            f"worker crashed (exit code {exitcode})",
+            exitcode=exitcode,
         )
 
     def _attempt_failed(
@@ -2085,22 +1865,13 @@ class _Supervisor:
         if worker_died:
             self.deaths[index] += 1
         if self.attempts[index] <= self.engine.retries:
-            delay = backoff_delay(
-                key,
-                self.attempts[index],
-                self.engine.backoff_base,
-                self.engine.backoff_cap,
+            delay = self.engine._book_retry(
+                cell, key, self.attempts[index], error
             )
-            self.engine.telemetry.backoff_seconds += delay
-            _M_BACKOFF.inc(delay)
-            obs_trace.event(
-                "cell.retry",
-                label=cell.label,
-                attempt=self.attempts[index],
-                delay=delay,
-                error=error,
+            self.queue.insert(
+                self._front(),
+                (time.monotonic() + delay, [(index, cell, key)]),
             )
-            self.queue.append((index, cell, key, time.monotonic() + delay))
             return
         poisoned = (
             self.deaths[index] > 0
@@ -2437,9 +2208,6 @@ class ExecutionEngine:
                             else None
                         ),
                         error=outcome.error,
-                        profile=getattr(
-                            getattr(outcome.cell, "profile", None), "name", None
-                        ),
                     )
                 )
             except (OSError, JournalError) as exc:
@@ -2486,21 +2254,28 @@ class ExecutionEngine:
         except Exception:
             return None
 
-    def _runtime_hints(self) -> dict[Any, float]:
-        """Runtime estimates from journal history, if any (per label,
-        per (family, profile), and legacy per family).
+    def _book_retry(
+        self, cell: Any, key: str, attempt: int, error: str
+    ) -> float:
+        """Book one scheduled retry of ``cell``; returns its backoff.
 
-        Feeds the supervisor's LPT seeding; an empty dict (no
-        journal, fresh journal, unreadable journal) falls back to the
-        static family weights — scheduling quality degrades, never
-        correctness.
+        The one retry booking of the serial and supervised paths:
+        deterministic delay (:func:`backoff_delay`), telemetry, metric
+        and ``cell.retry`` event. The caller waits the delay out.
         """
-        if self.journal is None:
-            return {}
-        try:
-            return runtime_hints_from_entries(self.journal.load())
-        except Exception:
-            return {}
+        delay = backoff_delay(
+            key, attempt, self.backoff_base, self.backoff_cap
+        )
+        self.telemetry.backoff_seconds += delay
+        _M_BACKOFF.inc(delay)
+        obs_trace.event(
+            "cell.retry",
+            label=cell.label,
+            attempt=attempt,
+            delay=delay,
+            error=error,
+        )
+        return delay
 
     # ------------------------------------------------------------------
     # Failure manifest
@@ -2831,21 +2606,7 @@ class ExecutionEngine:
                     elapsed += time.perf_counter() - attempt_start
                     error = f"{type(exc).__name__}: {exc}"
                     if attempts <= self.retries:
-                        delay = backoff_delay(
-                            key,
-                            attempts,
-                            self.backoff_base,
-                            self.backoff_cap,
-                        )
-                        self.telemetry.backoff_seconds += delay
-                        _M_BACKOFF.inc(delay)
-                        obs_trace.event(
-                            "cell.retry",
-                            label=cell.label,
-                            attempt=attempts,
-                            delay=delay,
-                            error=error,
-                        )
+                        delay = self._book_retry(cell, key, attempts, error)
                         if delay:
                             time.sleep(delay)
             yield index, CellOutcome(

@@ -105,12 +105,6 @@ class JournalEntry:
     #: Encoded (JSON-able) result payload for successful cells.
     value: Any | None = None
     error: str | None = None
-    #: Run-profile name of the cell, when it carries one. Runtime hints
-    #: are keyed by (scheme family, profile) so campaigns under one
-    #: profile never inherit another profile's wall-time means. Optional
-    #: and absent from old journals — no format bump needed: the
-    #: checksum covers whatever fields a line actually has.
-    profile: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -287,7 +281,6 @@ class RunJournal:
             "campaign": entry.campaign,
             "value": entry.value,
             "error": entry.error,
-            "profile": entry.profile,
         }
         # Serialize once: the checksum is over the canonical (sorted)
         # JSON of the fields, and the digest is spliced into that same
@@ -367,7 +360,6 @@ class RunJournal:
                         campaign=fields.get("campaign"),
                         value=fields.get("value"),
                         error=fields.get("error"),
-                        profile=fields.get("profile"),
                     )
                 except KeyError:
                     self.corrupt_lines += 1

@@ -104,7 +104,7 @@ def _identity_failures(payload: dict) -> list[str]:
     if payload.get("kind") == "campaign":
         return [
             f"campaign/{mode}"
-            for mode in ("stolen", "batched")
+            for mode in ("percell", "batched")
             if not payload[mode].get("identical", False)
         ]
     return [

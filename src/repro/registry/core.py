@@ -96,8 +96,8 @@ class Registration:
     scheme classes. ``store_needs(profile, params)`` mirrors
     ``MixSchemeCell.store_needs``: the precomputable artifacts cells of
     this scheme consume (e.g. the exact rate table the factory will
-    request). ``cost_weight`` seeds the work-stealing scheduler's cost
-    model when no journal history exists yet.
+    request). ``cost_weight`` is the scheduler's cost model: parallel runs
+    dispatch the most expensive cells first.
     """
 
     kind: str

@@ -17,6 +17,7 @@ from repro.harness.journal import (
     JOURNAL_FORMAT_VERSION,
     JournalEntry,
     RunJournal,
+    _checksum,
 )
 from repro.harness.runconfig import TEST
 
@@ -83,6 +84,29 @@ class TestRunJournal:
         fresh = RunJournal(path)
         assert fresh.load() == {}
         assert fresh.corrupt_lines == 1
+
+    def test_line_with_retired_profile_field_still_loads(self, tmp_path):
+        # Journals written before the "profile" field was dropped carry
+        # it; the checksum covers the fields a line has, so they load.
+        fields = {
+            "kind": "cell",
+            "format": JOURNAL_FORMAT_VERSION,
+            "key": "k1",
+            "label": "cell-k1",
+            "status": "computed",
+            "wall_seconds": 0.5,
+            "attempts": 1,
+            "campaign": None,
+            "value": {"seconds": 1},
+            "error": None,
+            "profile": "test",
+        }
+        fields["sha256"] = _checksum(fields)
+        path = tmp_path / "j.jsonl"
+        path.write_text(json.dumps(fields) + "\n")
+        journal = RunJournal(path)
+        assert journal.load() == {"k1": entry("k1")}
+        assert journal.corrupt_lines == 0
 
     def test_format_version_mismatch_skipped(self, tmp_path):
         path = tmp_path / "j.jsonl"

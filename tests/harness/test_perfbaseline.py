@@ -35,7 +35,7 @@ def campaign_payload(batched=2.0, identical=True):
         "kind": "campaign",
         "quick": False,
         "reps": 3,
-        "stolen": {"seconds": 4.0, "identical": identical},
+        "percell": {"seconds": 4.0, "identical": identical},
         "batched": {
             "seconds": 4.0 / batched,
             "speedup": batched,

@@ -68,7 +68,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from repro.errors import CampaignInterrupted, ConfigurationError
 from repro.harness.exec import (
@@ -78,7 +77,7 @@ from repro.harness.exec import (
 )
 from repro.harness.store import PRECOMPUTE_ENV
 from repro.harness.experiment import run_mix
-from repro.harness.profiling import PROFILE_DIR_ENV, PROFILE_ENV
+from repro.harness.profiling import PROFILE_ENV
 from repro.harness.figures import figure_group
 from repro.harness.report import (
     render_conformance,
@@ -336,37 +335,37 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "conform":
         return _run_conform(args)
     profile = PROFILES[args.profile]
-    if args.cprofile:
-        # Workers inherit the environment, so the request reaches the
-        # cell wherever it executes; the stats land beside the cache dir.
-        os.environ[PROFILE_ENV] = args.cprofile
-        if args.cache_dir is not None:
-            os.environ.setdefault(
-                PROFILE_DIR_ENV, str(Path(args.cache_dir).resolve().parent)
-            )
-    if args.trace:
-        # Through the environment so forked/spawned workers inherit it.
-        configure_tracing(args.trace)
-    try:
-        engine = build_engine(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # Cells find the store through the environment, serial or in a
-    # worker; "off" keeps them on the legacy build path even when
-    # REPRO_STORE_DIR is set. Restored afterwards: the flag never
+    # The environment carries command state to every process, serial or
+    # worker: the cache dir places the default trace and profile
+    # outputs beside it (repro.obs.trace.beside_cache_dir), and
+    # precompute "off" keeps cells on the in-process build path even
+    # when REPRO_STORE_DIR is set. Restored afterwards: no flag
     # outlives the command.
-    saved = os.environ.get(PRECOMPUTE_ENV)
-    if args.precompute is False:
-        os.environ[PRECOMPUTE_ENV] = "off"
+    cache_dir_env = ENGINE_SETTINGS["cache_dir"][0]
+    saved = {
+        name: os.environ.get(name) for name in (cache_dir_env, PRECOMPUTE_ENV)
+    }
     try:
+        if args.cache_dir is not None:
+            os.environ[cache_dir_env] = args.cache_dir
+        if args.cprofile:
+            os.environ[PROFILE_ENV] = args.cprofile
+        if args.trace:
+            configure_tracing(args.trace)
+        try:
+            engine = build_engine(args)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if args.precompute is False:
+            os.environ[PRECOMPUTE_ENV] = "off"
         return _run_command(args, profile, engine)
     finally:
-        if args.precompute is False:
-            if saved is None:
-                os.environ.pop(PRECOMPUTE_ENV, None)
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
             else:
-                os.environ[PRECOMPUTE_ENV] = saved
+                os.environ[name] = value
 
 
 def _run_command(args: argparse.Namespace, profile, engine) -> int:

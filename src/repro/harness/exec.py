@@ -73,6 +73,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -95,8 +96,8 @@ from repro.harness.journal import (
 )
 from repro.harness.reaper import reap_orphans
 from repro.harness.profiling import maybe_profile, reset_claim
+from repro.harness import store as precompute
 from repro.harness.runconfig import RunProfile
-from repro.harness.streamstats import StreamingSummary
 from repro.harness.store import (
     PRECOMPUTE_ENV,
     STORE_DIR_ENV,
@@ -111,11 +112,12 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.liveness import progress_beat, progress_value
 
-#: Bump when the cached payload layout or the simulator's semantics
-#: change incompatibly; old entries are then quarantined, not misread.
-#: (2: entries carry a payload checksum. 3: symmetric linear-
-#: interpolation partition quartiles; unfinished slices report partial
-#: IPC instead of 0.)
+#: Bump when the cached payload layout changes incompatibly; old entries
+#: are then quarantined, not misread. (2: entries carry a payload
+#: checksum. 3: symmetric linear-interpolation partition quartiles;
+#: unfinished slices report partial IPC instead of 0.) A change of
+#: *results* bumps :data:`repro.harness.store.SCIENCE_VERSION` instead,
+#: which every cell key carries.
 CACHE_FORMAT_VERSION = 3
 
 #: Hard ceiling on cells per dispatched chunk (auto sizing stays below).
@@ -127,11 +129,6 @@ MANIFEST_FORMAT_VERSION = 1
 #: File the failure manifest is rendered to, next to the journal (or in
 #: the cache directory when no journal is attached).
 MANIFEST_NAME = "failures.json"
-
-#: Cap on *successful* per-cell records retained in telemetry; beyond
-#: it the streaming sketches carry the distribution (failures are
-#: always retained for the manifest/report).
-MAX_RETAINED_RECORDS = 10_000
 
 # Engine-level metrics, recorded per cell / per supervision event (never
 # per simulated access), so they are cheap enough to count always;
@@ -394,7 +391,11 @@ class SensitivityCell:
 
 def cell_key(cell: Any) -> str:
     """Deterministic content hash identifying one cell's result."""
-    token = {"format": CACHE_FORMAT_VERSION, **cell.cache_token()}
+    token = {
+        "format": CACHE_FORMAT_VERSION,
+        "science": precompute.SCIENCE_VERSION,
+        **cell.cache_token(),
+    }
     canonical = json.dumps(token, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -412,21 +413,14 @@ class ResultCache:
     without rescanning. One put is one ``write(2)`` on an already-open
     ``O_APPEND`` descriptor — no per-entry ``mkdir``/``mkstemp``/
     ``os.replace`` — which is what lets the campaign control plane
-    scale to 100k trivial cells.
+    scale to 100k trivial cells. A key with no packed entry is a miss.
 
-    The legacy one-file-per-entry layout
-    (``<directory>/<key[:2]>/<key>.json``) remains fully readable:
-    :meth:`get` falls back to it when a key has no packed entry, so
-    existing caches interchange without migration. Nothing writes it.
-
-    Integrity: cache keys and the per-entry SHA-256 of the value
-    payload are unchanged from the per-file layout. A packed entry that
-    is torn, garbled, checksum-mismatched, or format-incompatible is
-    *quarantined* — its bytes are appended to the shard's
-    ``<shard>.corrupt`` sidecar and the pack is compacted (atomic
-    rewrite + rename) to drop exactly the damaged lines, counted in
-    :attr:`quarantined`. Legacy entries quarantine by rename
-    (``<entry>.json.corrupt``) as before.
+    Integrity: every entry carries the SHA-256 of its value payload. A
+    packed entry that is torn, garbled, checksum-mismatched, or
+    format-incompatible is *quarantined* — its bytes are appended to
+    the shard's ``<shard>.corrupt`` sidecar and the pack is compacted
+    (atomic rewrite + rename) to drop exactly the damaged lines,
+    counted in :attr:`quarantined`.
     """
 
     def __init__(self, directory: str | Path):
@@ -447,26 +441,15 @@ class ResultCache:
         #: this instance (one ``stat`` + tail scan per shard, not per
         #: get). A validation failure still forces a full re-scan.
         self._refreshed: set[str] = set()
-        # Whether the directory holds legacy per-file entries at all;
-        # resolved lazily with one directory listing so a pure-pack
-        # cache never pays the per-miss legacy path probe.
-        self._legacy_checked = False
-        self._legacy_present = False
 
     # -- paths ----------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        """Legacy per-file entry path (read-only fallback)."""
-        return self.directory / key[:2] / f"{key}.json"
-
     @staticmethod
     def _pack_shard(key: str) -> str:
         """Pack shard of a key: one hex character, sixteen segments.
 
-        Coarser than the legacy two-character directory fan-out on
-        purpose: the point of packing is few, large, append-only files
-        (fewer descriptors, fewer sidecars, fewer fsync targets), and
-        sixteen segments keep even a 100k-cell cache at a comfortable
-        per-segment size.
+        Few, large, append-only files keep descriptors, sidecars and
+        fsync targets few, and sixteen segments keep even a 100k-cell
+        cache at a comfortable per-segment size.
         """
         return key[:1]
 
@@ -739,34 +722,6 @@ class ResultCache:
         except Exception:
             pass
 
-    # -- quarantine (legacy + packed) -----------------------------------
-    def _quarantine(self, path: Path) -> None:
-        """Legacy per-file quarantine: rename to ``*.corrupt``."""
-        self.quarantined += 1
-        _M_CACHE["quarantined"].inc()
-        obs_trace.event("cache.quarantine", path=str(path))
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass
-
-    def _miss(self) -> None:
-        self.misses += 1
-        _M_CACHE["miss"].inc()
-
-    def _scan_legacy_dirs(self) -> bool:
-        """Whether the directory holds any legacy two-hex shard dirs."""
-        try:
-            with os.scandir(self.directory) as entries:
-                return any(
-                    entry.is_dir()
-                    and len(entry.name) == 2
-                    and all(c in "0123456789abcdef" for c in entry.name)
-                    for entry in entries
-                )
-        except OSError:
-            return False
-
     @staticmethod
     def _valid(payload: Any) -> bool:
         return (
@@ -838,35 +793,9 @@ class ResultCache:
             self.hits += 1
             _M_CACHE["hit"].inc()
             return payload
-        # Fall back to the legacy per-file layout (pre-pack caches
-        # interchange without migration). One directory listing decides
-        # whether any legacy shard dirs exist at all; a pure-pack cache
-        # then misses without per-key path probes.
-        if not self._legacy_checked:
-            self._legacy_checked = True
-            self._legacy_present = self._scan_legacy_dirs()
-        if not self._legacy_present:
-            self._miss()
-            return None
-        path = self._path(key)
-        try:
-            text = path.read_text()
-        except OSError:
-            self._miss()
-            return None  # genuinely absent — a plain miss
-        try:
-            legacy = json.loads(text)
-        except ValueError:
-            self._quarantine(path)
-            self._miss()
-            return None
-        if not self._valid(legacy):
-            self._quarantine(path)
-            self._miss()
-            return None
-        self.hits += 1
-        _M_CACHE["hit"].inc()
-        return legacy
+        self.misses += 1
+        _M_CACHE["miss"].inc()
+        return None
 
     # -- write ----------------------------------------------------------
     def put(self, key: str, payload: dict[str, Any]) -> None:
@@ -951,7 +880,8 @@ class EngineTelemetry:
     #: Subset of ``failures`` quarantined as poison: every attempt ended
     #: in a worker death, so retrying further is hopeless by evidence.
     poisoned: int = 0
-    #: Corrupt/stale cache entries renamed ``*.corrupt`` by this engine.
+    #: Corrupt/stale cache entries this engine moved to their shard's
+    #: ``.corrupt`` sidecar.
     quarantines: int = 0
     #: Worker processes that died mid-cell (and were respawned).
     worker_crashes: int = 0
@@ -989,28 +919,12 @@ class EngineTelemetry:
     #: when ``batch_cells=1``; their ratio is the realized batch factor.
     batches_dispatched: int = 0
     batched_cells: int = 0
-    #: Per-cell records retained for reporting. Successful cells are
-    #: capped at :data:`MAX_RETAINED_RECORDS` (the overflow counted in
-    #: :attr:`records_dropped`) so a 100k-cell campaign's telemetry
-    #: stays O(1); failed/poisoned cells are *always* retained — the
-    #: failure manifest and report need every one of them.
+    #: One record per cell, in completion order (the failure manifest
+    #: and the per-cell percentiles read them).
     records: list[CellRecord] = field(default_factory=list)
-    records_dropped: int = 0
-    #: Streaming per-cell wall-time distribution — exact counters above
-    #: stay exact; this adds percentiles without retaining cells.
-    cell_seconds_stats: StreamingSummary = field(
-        default_factory=lambda: StreamingSummary(quantiles=(0.5, 0.9, 0.99))
-    )
 
     def note(self, record: CellRecord) -> None:
-        if (
-            record.status in ("failed", "poisoned")
-            or len(self.records) < MAX_RETAINED_RECORDS
-        ):
-            self.records.append(record)
-        else:
-            self.records_dropped += 1
-        self.cell_seconds_stats.add(record.wall_seconds)
+        self.records.append(record)
         self.cells += 1
         self.cell_seconds += record.wall_seconds
         _M_CELLS[record.status].inc()
@@ -1052,6 +966,14 @@ class EngineTelemetry:
         ``computed + hit + replayed + failed == total``
         (``poisoned`` is a subset of ``failed``, not a fifth term).
         """
+        seconds = sorted(record.wall_seconds for record in self.records)
+
+        def percentile(q: float) -> float | None:
+            # Exact nearest rank; a cache hit is a 0.0 s cell.
+            if not seconds:
+                return None
+            return seconds[max(0, math.ceil(q * len(seconds)) - 1)]
+
         return {
             "total": self.cells,
             "computed": self.simulations,
@@ -1083,10 +1005,9 @@ class EngineTelemetry:
             "steals": 0,  # read by perfbench/run.py (engine.steals)
             "batches": self.batches_dispatched,
             "batched_cells": self.batched_cells,
-            "records_dropped": self.records_dropped,
-            "cell_seconds_p50": self.cell_seconds_stats.quantile(0.5),
-            "cell_seconds_p90": self.cell_seconds_stats.quantile(0.9),
-            "cell_seconds_p99": self.cell_seconds_stats.quantile(0.99),
+            "cell_seconds_p50": percentile(0.5),
+            "cell_seconds_p90": percentile(0.9),
+            "cell_seconds_p99": percentile(0.99),
         }
 
     def absorb_store(self, delta: dict[str, float]) -> None:

@@ -17,7 +17,7 @@ first matching executor atomically claims a per-campaign sentinel file
 shares via ``os.getppid()``), so exactly one ``.pstats`` file appears
 no matter how many workers race.
 
-The stats land in ``profile-<cell>.pstats`` next to the result cache
+The stats land in ``profile-<cell>.pstats`` beside the result cache
 directory (the cache dir's parent — typically the working directory),
 or under ``REPRO_PROFILE_DIR`` when set. Read them with::
 
@@ -38,6 +38,8 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import Any, Callable
+
+from repro.obs.trace import beside_cache_dir
 
 #: Which cell to profile: unset/empty = none, ``1``/``all`` = first cell,
 #: anything else = first cell whose label contains the value.
@@ -66,18 +68,12 @@ def _slug(label: str) -> str:
 def output_dir() -> Path:
     """Directory the ``.pstats`` file is written to.
 
-    ``REPRO_PROFILE_DIR`` wins; otherwise the parent of the result cache
-    directory (``REPRO_CACHE_DIR``), i.e. *beside* the cache, so the
-    profile is not swept away with a cache wipe; otherwise the working
-    directory.
+    ``REPRO_PROFILE_DIR`` wins; otherwise
+    :func:`~repro.obs.trace.beside_cache_dir`, so the profile is not
+    swept away with a cache wipe.
     """
     explicit = os.environ.get(PROFILE_DIR_ENV, "").strip()
-    if explicit:
-        return Path(explicit)
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    if cache_dir:
-        return Path(cache_dir).parent
-    return Path.cwd()
+    return Path(explicit) if explicit else beside_cache_dir()
 
 
 def _sentinel_path(root_pid: int) -> Path:

@@ -13,11 +13,7 @@ from repro.errors import ConfigurationError
 from repro.harness.exec import EngineTelemetry
 from repro.harness.figures import FigureGroup
 from repro.harness.sensitivity import SensitivityCurve
-from repro.harness.tables import (
-    ActiveAttackerSummary,
-    CampaignDistributions,
-    Table6,
-)
+from repro.harness.tables import ActiveAttackerSummary, Table6
 
 _ARCH = ArchConfig.scaled()
 
@@ -112,37 +108,6 @@ def render_table6(table: Table6) -> str:
     return "\n".join(lines)
 
 
-def render_distributions(dist: CampaignDistributions) -> str:
-    """Render campaign-level leakage/IPC distributions per scheme.
-
-    The numbers come from streaming sketches (P² quantiles + Welford),
-    so this renders in O(1) memory regardless of campaign size; the
-    p10/p50/p90 columns are estimates, exact below five observations.
-    """
-    if not dist.schemes:
-        return "(no distribution data)"
-    title = "Campaign distributions (streaming sketches)"
-    lines = [title, "=" * len(title)]
-    header = (
-        f"{'scheme':16s} {'metric':12s} {'n':>6s} {'mean':>9s} "
-        f"{'p10':>9s} {'p50':>9s} {'p90':>9s} {'min':>9s} {'max':>9s}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    summary = dist.summary()
-    for scheme in dist.schemes:
-        for metric, key in (("leakage b/a", "leakage_bits"), ("ipc", "ipc")):
-            stats = summary[scheme][key]
-            lines.append(
-                f"{scheme:16s} {metric:12s} {stats['count']:>6d} "
-                f"{stats['mean']:>9.3f} {stats['p10']:>9.3f} "
-                f"{stats['p50']:>9.3f} {stats['p90']:>9.3f} "
-                f"{stats['min']:>9.3f} {stats['max']:>9.3f}"
-            )
-    lines.append("(percentiles are P² estimates; exact below 5 observations)")
-    return "\n".join(lines)
-
-
 def _human_bytes(count: float) -> str:
     """``1536`` → ``"1.5 KiB"`` (for the store line of the summary)."""
     count = float(count)
@@ -190,7 +155,7 @@ def render_telemetry(telemetry: EngineTelemetry) -> str:
             "  cell seconds: "
             f"p50={snap['cell_seconds_p50']:.3f}s "
             f"p90={snap['cell_seconds_p90']:.3f}s "
-            f"p99={snap['cell_seconds_p99']:.3f}s (streaming sketch)"
+            f"p99={snap['cell_seconds_p99']:.3f}s"
         )
     if snap["wall_seconds"] > 0 and snap["cell_seconds"] > 0:
         speedup = snap["cell_seconds"] / snap["wall_seconds"]
@@ -204,7 +169,7 @@ def render_telemetry(telemetry: EngineTelemetry) -> str:
     if snap["quarantined"]:
         lines.append(
             f"  quarantined:  {snap['quarantined']} corrupt cache "
-            "entries renamed *.corrupt"
+            "entries moved to their shard's .corrupt sidecar"
         )
     if (
         snap["worker_crashes"]

@@ -66,6 +66,12 @@ STORE_DIR_ENV = "REPRO_STORE_DIR"
 #: quarantined instead of misread.
 STORE_FORMAT_VERSION = 1
 
+#: Bump whenever a code change alters a simulated result or a solved
+#: artifact. Every content key (result-cache and journal cell keys,
+#: trace and Rmax store tokens) carries it, so results and artifacts
+#: computed by earlier code miss and are recomputed instead of served.
+SCIENCE_VERSION = 1
+
 _REG = obs_metrics.get_registry()
 _M_STORE = {
     (kind, outcome): _REG.counter(
@@ -111,6 +117,7 @@ def workload_token(
     return {
         "kind": "workload-trace",
         "format": STORE_FORMAT_VERSION,
+        "science": SCIENCE_VERSION,
         "spec": spec,
         "crypto": crypto,
         "scale": dataclasses.asdict(scale),
@@ -126,6 +133,7 @@ def spec_stream_token(
     return {
         "kind": "spec-stream",
         "format": STORE_FORMAT_VERSION,
+        "science": SCIENCE_VERSION,
         "benchmark": benchmark,
         "instructions": instructions,
         "lines_per_mb": lines_per_mb,
@@ -140,6 +148,7 @@ def rmax_token(
     return {
         "kind": "rmax-table",
         "format": STORE_FORMAT_VERSION,
+        "science": SCIENCE_VERSION,
         "model": {
             "cooldown": model.cooldown,
             "resolution": model.resolution,
@@ -157,28 +166,43 @@ def rmax_token(
 
 
 # ----------------------------------------------------------------------
-# Traces: memory-mapped .npy files under the store directory
+# The store
 # ----------------------------------------------------------------------
-class _FileBackend:
-    """Traces as directories of ``.npy`` files, attached via ``mmap``.
+class PrecomputeStore:
+    """Content-addressed store of precomputed campaign artifacts.
 
-    One entry is ``traces/<digest[:2]>/<digest>/`` holding ``meta.json``
-    (array names, dtypes, shapes, checksums, and the full key token for
-    on-disk debuggability) plus one ``<name>.npy`` per array. Entries
-    are written atomically (temp directory + ``os.replace``) so
-    concurrent campaigns can share one store directory safely.
+    Parameters
+    ----------
+    directory:
+        Root of the store (trace arrays under ``traces/``, Rmax JSON
+        artifacts under ``rmax/``).
     """
 
     def __init__(self, directory: str | Path):
+        self._attached: dict[str, dict[str, np.ndarray]] = {}
+        self._rmax_cache: dict[str, list[dict[str, Any]]] = {}
         self.directory = Path(directory)
 
-    def _entry(self, digest: str) -> Path:
-        return self.directory / "traces" / digest[:2] / digest
-
+    # ------------------------------------------------------------------
     def describe(self) -> str:
         return f"file:{self.directory}"
 
-    def _quarantine(self, entry: Path) -> None:
+    def export_env(self) -> None:
+        """Publish this store's identity for (fork or spawn) workers."""
+        os.environ[STORE_DIR_ENV] = str(self.directory.resolve())
+
+    # ------------------------------------------------------------------
+    # Trace arrays: one entry is ``traces/<digest[:2]>/<digest>/``
+    # holding ``meta.json`` (array names, dtypes, shapes, checksums, and
+    # the full key token for on-disk debuggability) plus one
+    # ``<name>.npy`` per array, attached via ``mmap``. Entries are
+    # written atomically (temp directory + ``os.replace``) so concurrent
+    # campaigns can share one store directory safely.
+    # ------------------------------------------------------------------
+    def _trace_entry(self, digest: str) -> Path:
+        return self.directory / "traces" / digest[:2] / digest
+
+    def _quarantine_trace(self, entry: Path) -> None:
         _M_STORE[("trace", "quarantined")].inc()
         obs_trace.event("store.quarantine", kind="trace", path=str(entry))
         target = entry.with_name(entry.name + ".corrupt")
@@ -189,43 +213,43 @@ class _FileBackend:
         except OSError:
             shutil.rmtree(entry, ignore_errors=True)
 
-    def load(self, digest: str) -> dict[str, np.ndarray] | None:
-        entry = self._entry(digest)
+    def _load_trace(self, digest: str) -> dict[str, np.ndarray] | None:
+        entry = self._trace_entry(digest)
         try:
             meta = json.loads((entry / "meta.json").read_text())
         except OSError:
             return None  # genuinely absent — a plain miss
         except ValueError:
-            self._quarantine(entry)
+            self._quarantine_trace(entry)
             return None
         if (
             not isinstance(meta, dict)
             or meta.get("format") != STORE_FORMAT_VERSION
             or not isinstance(meta.get("arrays"), dict)
         ):
-            self._quarantine(entry)
+            self._quarantine_trace(entry)
             return None
         arrays: dict[str, np.ndarray] = {}
         for name, spec in meta["arrays"].items():
             try:
                 array = np.load(entry / f"{name}.npy", mmap_mode="r")
             except (OSError, ValueError):
-                self._quarantine(entry)
+                self._quarantine_trace(entry)
                 return None
             if (
                 str(array.dtype) != spec.get("dtype")
                 or list(array.shape) != spec.get("shape")
                 or _array_checksum(array) != spec.get("sha256")
             ):
-                self._quarantine(entry)
+                self._quarantine_trace(entry)
                 return None
             arrays[name] = array
         return arrays
 
-    def store(
+    def _store_trace(
         self, digest: str, token: dict[str, Any], arrays: dict[str, np.ndarray]
     ) -> dict[str, np.ndarray]:
-        entry = self._entry(digest)
+        entry = self._trace_entry(digest)
         entry.parent.mkdir(parents=True, exist_ok=True)
         tmp = Path(
             tempfile.mkdtemp(dir=entry.parent, prefix=f".{digest[:8]}-")
@@ -250,40 +274,9 @@ class _FileBackend:
         except OSError:
             shutil.rmtree(tmp, ignore_errors=True)
             return arrays  # store failed; serve the in-memory build
-        loaded = self.load(digest)
+        loaded = self._load_trace(digest)
         return loaded if loaded is not None else arrays
 
-
-# ----------------------------------------------------------------------
-# The store
-# ----------------------------------------------------------------------
-class PrecomputeStore:
-    """Content-addressed store of precomputed campaign artifacts.
-
-    Parameters
-    ----------
-    directory:
-        Root of the store (trace arrays under ``traces/``, Rmax JSON
-        artifacts under ``rmax/``).
-    """
-
-    def __init__(self, directory: str | Path):
-        self._attached: dict[str, dict[str, np.ndarray]] = {}
-        self._rmax_cache: dict[str, list[dict[str, Any]]] = {}
-        self.directory = Path(directory)
-        self._backend = _FileBackend(self.directory)
-
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        return self._backend.describe()
-
-    def export_env(self) -> None:
-        """Publish this store's identity for (fork or spawn) workers."""
-        os.environ[STORE_DIR_ENV] = str(self.directory.resolve())
-
-    # ------------------------------------------------------------------
-    # Trace arrays
-    # ------------------------------------------------------------------
     def trace_arrays(
         self,
         token: dict[str, Any],
@@ -300,7 +293,7 @@ class PrecomputeStore:
         if cached is not None:
             _M_STORE[("trace", "hit")].inc()
             return cached
-        loaded = self._backend.load(digest)
+        loaded = self._load_trace(digest)
         if loaded is not None:
             _M_STORE[("trace", "hit")].inc()
             _M_BYTES.inc(sum(a.nbytes for a in loaded.values()))
@@ -308,13 +301,13 @@ class PrecomputeStore:
             return loaded
         _M_STORE[("trace", "miss")].inc()
         arrays = builder()
-        stored = self._backend.store(digest, token, arrays)
+        stored = self._store_trace(digest, token, arrays)
         self._attached[digest] = stored
         return stored
 
     def has_trace(self, token: dict[str, Any]) -> bool:
         digest = store_digest(token)
-        return digest in self._attached or self._backend.load(digest) is not None
+        return digest in self._attached or self._load_trace(digest) is not None
 
     # ------------------------------------------------------------------
     # Rmax artifacts

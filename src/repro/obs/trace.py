@@ -54,12 +54,20 @@ TRACE_FORMAT_VERSION = 1
 _TRUTHY = ("1", "true", "yes", "on")
 
 
+def beside_cache_dir() -> Path:
+    """Where default run outputs (trace, ``.pstats``) are written.
+
+    The parent of the result cache directory (``REPRO_CACHE_DIR``, which
+    the CLI sets from ``--cache-dir`` for the command's duration), so a
+    cache wipe keeps them; the working directory when none is named.
+    """
+    cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip()
+    return Path(cache_dir).parent if cache_dir else Path.cwd()
+
+
 def default_trace_path() -> Path:
     """Default sink: ``trace.jsonl`` beside the result cache directory."""
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    if cache_dir:
-        return Path(cache_dir).parent / "trace.jsonl"
-    return Path.cwd() / "trace.jsonl"
+    return beside_cache_dir() / "trace.jsonl"
 
 
 class _SpanHandle:

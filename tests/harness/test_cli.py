@@ -8,7 +8,8 @@ import pytest
 from repro.__main__ import build_engine, build_parser, main
 from repro.errors import ConfigurationError
 from repro.harness.exec import ENGINE_SETTINGS, ExecutionEngine, engine_from_env
-from repro.obs.trace import TRACE_ENV
+from repro.harness.profiling import PROFILE_DIR_ENV, PROFILE_ENV
+from repro.obs.trace import TRACE_ENV, tracing_enabled
 
 
 class TestParser:
@@ -111,6 +112,42 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "Trace summary" in out
         assert "cell.compute" in out
+
+
+class TestOutputsBesideCacheDir:
+    """``REPRO_TRACE=1`` and ``--cprofile`` write beside the cache dir,
+    whether ``--cache-dir`` or ``REPRO_CACHE_DIR`` names it."""
+
+    def run_mix(self, monkeypatch, tmp_path, argv):
+        # setenv, not delenv: monkeypatch then restores what main() sets.
+        monkeypatch.setenv(PROFILE_ENV, "")
+        monkeypatch.setenv(PROFILE_DIR_ENV, "")
+        monkeypatch.setenv(TRACE_ENV, "0")
+        tracing_enabled()  # drop any tracer a previous test left open
+        monkeypatch.setenv(TRACE_ENV, "1")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        argv = ["--profile", "test", "--cprofile", "all", *argv]
+        assert main([*argv, "mix", "1", "--schemes", "static"]) == 0
+        monkeypatch.setenv(TRACE_ENV, "0")
+        tracing_enabled()  # close the trace file
+        assert list(cwd.iterdir()) == []
+
+    def assert_outputs_in(self, directory):
+        assert (directory / "trace.jsonl").stat().st_size > 0
+        assert len(list(directory.glob("profile-*.pstats"))) == 1
+
+    def test_cache_dir_flag(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        cache = tmp_path / "flag" / "cache"
+        self.run_mix(monkeypatch, tmp_path, ["--cache-dir", str(cache)])
+        self.assert_outputs_in(tmp_path / "flag")
+
+    def test_cache_dir_env(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env" / "cache"))
+        self.run_mix(monkeypatch, tmp_path, [])
+        self.assert_outputs_in(tmp_path / "env")
 
 
 class TestSchemesFlag:

@@ -148,26 +148,6 @@ class TestResultCache:
         # the reader must scan the tail and serve the newest append.
         assert ResultCache(tmp_path).get(key)["value"] == 2
 
-    def test_legacy_per_file_entries_remain_readable(self, tmp_path):
-        writer = ResultCache(tmp_path)
-        key = "fe" * 32
-        path = writer._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(writer._encode_entry(key, {"value": {"ipc": 3.5}}))
-        assert writer._path(key).exists()
-        reader = ResultCache(tmp_path)  # default packed layout
-        assert reader.get(key)["value"] == {"ipc": 3.5}
-        assert reader.hits == 1 and reader.quarantined == 0
-
-    def test_legacy_corrupt_entry_still_renamed(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = "ad" * 32
-        path = cache._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{not json")
-        assert cache.get(key) is None
-        assert path.with_name(path.name + ".corrupt").exists()
-
     def test_pack_damage_quarantines_only_damaged_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
         keys = [f"aa{i:02d}" + "0" * 60 for i in range(4)]

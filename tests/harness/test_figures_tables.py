@@ -6,7 +6,6 @@ from repro.harness.experiment import run_mix
 from repro.harness.figures import figure_group
 from repro.harness.report import (
     render_active_attacker,
-    render_distributions,
     render_figure_group,
     render_sensitivity,
     render_table6,
@@ -16,7 +15,6 @@ from repro.harness.runconfig import TEST
 from repro.harness.sensitivity import run_sensitivity_curve
 from repro.harness.tables import (
     ActiveAttackerSummary,
-    CampaignDistributions,
     Table6,
     table6_row,
 )
@@ -68,45 +66,6 @@ class TestTable6:
         assert Table6(rows=[]).average_reduction == 0.0
 
 
-class TestCampaignDistributions:
-    def test_add_mix_result_covers_every_scheme_workload(self, mix1_result):
-        dist = CampaignDistributions()
-        dist.add_mix_result(mix1_result)
-        assert dist.schemes == sorted(mix1_result.runs)
-        per_scheme = len(mix1_result.labels)
-        assert dist.count == per_scheme * len(mix1_result.runs)
-        summary = dist.summary()
-        for scheme, run in mix1_result.runs.items():
-            stats = summary[scheme]
-            assert stats["ipc"]["count"] == per_scheme
-            # Welford agrees with the exact per-cell values: the
-            # sketches only summarize, never distort, the stream.
-            ipcs = [w.ipc for w in run.workloads]
-            assert stats["ipc"]["mean"] == pytest.approx(
-                sum(ipcs) / len(ipcs)
-            )
-            assert stats["ipc"]["min"] == min(ipcs)
-            assert stats["ipc"]["max"] == max(ipcs)
-            leakages = [w.bits_per_assessment for w in run.workloads]
-            assert stats["leakage_bits"]["max"] == max(leakages)
-
-    def test_constant_memory_accumulation(self):
-        """State size is independent of observation count."""
-        dist = CampaignDistributions()
-        for i in range(10_000):
-            dist.add("untangle", leakage_bits=i % 7 / 10.0, ipc=1.0 + i % 3)
-        assert dist.count == 10_000
-        stats = dist.summary()["untangle"]
-        assert stats["ipc"]["count"] == 10_000
-        assert stats["leakage_bits"]["min"] == 0.0
-        assert stats["leakage_bits"]["max"] == pytest.approx(0.6)
-
-    def test_empty_distribution(self):
-        dist = CampaignDistributions()
-        assert dist.schemes == []
-        assert dist.summary() == {}
-
-
 class TestRendering:
     def test_size_label(self):
         assert size_label(256) == "2MB"
@@ -131,20 +90,6 @@ class TestRendering:
         text = render_sensitivity({"imagick_0": curve})
         assert "imagick_0" in text
         assert "8MB" in text
-
-    def test_render_distributions(self, mix1_result):
-        dist = CampaignDistributions()
-        dist.add_mix_result(mix1_result)
-        text = render_distributions(dist)
-        assert "Campaign distributions" in text
-        assert "untangle" in text
-        assert "leakage b/a" in text
-        assert "p50" in text
-
-    def test_render_distributions_empty(self):
-        assert render_distributions(CampaignDistributions()) == (
-            "(no distribution data)"
-        )
 
     def test_render_active_attacker(self):
         summary = ActiveAttackerSummary(

@@ -23,7 +23,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.exec import ExecutionEngine, ResultCache, cell_key
+from repro.harness import store
+from repro.harness.exec import (
+    CellRecord,
+    EngineTelemetry,
+    ExecutionEngine,
+    ResultCache,
+    cell_key,
+)
 from repro.harness.journal import RunJournal
 from repro.harness.report import render_telemetry
 from repro.obs.summarize import render_summary, summarize_trace
@@ -172,6 +179,59 @@ class TestAccountingInvariant:
         ) in text
 
 
+class TestCellSecondsPercentiles:
+    def test_exact_nearest_rank_over_every_cell(self):
+        telemetry = EngineTelemetry()
+        assert telemetry.snapshot()["cell_seconds_p50"] is None
+        for seconds in (0.5, 0.1, 0.9, 0.3, 0.7, 1.2, 0.2):
+            telemetry.note(CellRecord("c", "computed", seconds, attempts=1))
+        for _ in range(3):  # a cache hit is booked as a 0.0 s cell
+            telemetry.note(CellRecord("h", "hit", 0.0, attempts=0))
+        snap = telemetry.snapshot()
+        assert len(telemetry.records) == snap["total"] == 10
+        # Sorted: 0 0 0 .1 .2 .3 .5 .7 .9 1.2; ranks ceil(q * 10).
+        assert snap["cell_seconds_p50"] == 0.2
+        assert snap["cell_seconds_p90"] == 0.9
+        assert snap["cell_seconds_p99"] == 1.2
+        assert "p50=0.200s p90=0.900s p99=1.200s" in render_telemetry(
+            telemetry
+        )
+
+
+class TestScienceVersion:
+    """Results computed under another science version never serve."""
+
+    CELLS = [WorkCell(i, seconds=0.0) for i in range(3)]
+
+    def test_cache_entry_from_another_version_misses(
+        self, tmp_path, monkeypatch
+    ):
+        ExecutionEngine(jobs=1, cache=ResultCache(tmp_path)).run(self.CELLS)
+        monkeypatch.setattr(store, "SCIENCE_VERSION", store.SCIENCE_VERSION + 1)
+        engine = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path))
+        engine.run(self.CELLS)
+        assert_invariant(engine)
+        counts = snapshot_counts(engine)
+        assert counts["computed"] == 3
+        assert counts["hit"] == counts["quarantined"] == 0
+
+    def test_resume_over_another_versions_journal_replays_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        journal = RunJournal(tmp_path / "journal.jsonl")
+        ExecutionEngine(jobs=1, journal=journal).run(self.CELLS)
+        journal.close()
+        monkeypatch.setattr(store, "SCIENCE_VERSION", store.SCIENCE_VERSION + 1)
+        engine = ExecutionEngine(
+            jobs=1, journal=RunJournal(tmp_path / "journal.jsonl"), resume=True
+        )
+        engine.run(self.CELLS)
+        assert_invariant(engine)
+        counts = snapshot_counts(engine)
+        assert counts["computed"] == 3
+        assert counts["replayed"] == 0
+
+
 class TestBackoffExcludedFromWallSeconds:
     """Satellite bugfix: serial retry backoff inflated wall_seconds."""
 
@@ -214,11 +274,10 @@ class TestDifferentialTelemetry:
         cells = [WorkCell(i) for i in range(3)]
         cells.append(FlakyCell(100, str(root / "sentinel"), seconds=0.01))
         cache = ResultCache(root / "cache")
-        # Pre-plant one corrupt cache entry so a quarantine happens.
+        # Pre-plant one damaged packed entry so a quarantine happens.
         corrupt_key = cell_key(cells[0])
-        path = cache._path(corrupt_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{torn json")
+        cache.put(corrupt_key, {"value": WorkCell.encode(0)})
+        cache.corrupt_entry(corrupt_key)
         engine = ExecutionEngine(
             jobs=jobs, cache=cache, retries=1, backoff_base=0.01
         )

@@ -41,6 +41,7 @@ from repro.harness.exec import (
     MixSchemeCell,
     engine_from_env,
 )
+from repro.harness import store
 from repro.harness.faults import FaultPlan
 from repro.harness.report import render_telemetry
 from repro.harness.runconfig import TEST
@@ -567,6 +568,47 @@ class TestEngineIntegration:
         assert outcomes[0].status == "computed"
         assert outcomes[0].attempts == 2
         assert _encodes(outcomes) == baseline
+
+
+class TestScienceVersion:
+    """Artifacts stored under another science version are plain misses."""
+
+    def bump(self, monkeypatch):
+        monkeypatch.setattr(store, "SCIENCE_VERSION", store.SCIENCE_VERSION + 1)
+
+    def test_artifacts_from_another_version_miss(self, tmp_path, monkeypatch):
+        old = PrecomputeStore(tmp_path)
+        ensure_workload_trace(old, SPEC, CRYPTO, SCALE, 0)
+        model = default_channel_model(64)
+        old.put_rmax_entries(rmax_token(model, 2, 150, 0), [{"level": 0}])
+        self.bump(monkeypatch)
+        fresh = PrecomputeStore(tmp_path)
+        before = store_stats_snapshot()
+        assert not fresh.has_trace(workload_token(SPEC, CRYPTO, SCALE, 0, 0))
+        assert fresh.rmax_entries(rmax_token(model, 2, 150, 0)) is None
+        delta = store_stats_delta(before, store_stats_snapshot())
+        assert delta == {}  # no hit, no quarantine
+
+    def test_campaign_recomputes_another_versions_artifacts(
+        self, tmp_path, monkeypatch
+    ):
+        cold = ExecutionEngine(jobs=1, store=PrecomputeStore(tmp_path))
+        expected = _encodes(cold.run(_cells()))
+        clear_rate_table_cache()
+        self.bump(monkeypatch)
+        engine = ExecutionEngine(jobs=1, store=PrecomputeStore(tmp_path))
+        assert _encodes(engine.run(_cells())) == expected
+        snap = engine.telemetry.snapshot()
+        assert snap["store_trace_misses"] == 1
+        assert snap["workload_builds"] == 1
+        assert snap["store_rmax_misses"] == 1
+        assert snap["rmax_solves"] > 0
+        assert snap["store_quarantines"] == 0
+        assert snap["computed"] == snap["total"] == len(_cells())
+        assert (
+            snap["computed"] + snap["hit"] + snap["replayed"] + snap["failed"]
+            == snap["total"]
+        )
 
 
 class _ProbeCell:

@@ -41,10 +41,12 @@ legacy rebuild-per-cell path; the store is independent of the result
 cache, so ``--no-cache`` alone still shares traces while re-simulating
 every cell.
 
-Fault tolerance: every finished cell is journaled to
-``<cache-dir>/journal.jsonl``; an interrupted (Ctrl-C / SIGTERM) or
-killed campaign re-run with ``--resume`` (or ``REPRO_RESUME=1``)
-replays journaled cells and simulates only what never completed.
+Fault tolerance: every finished cell's outcome is journaled to
+``<cache-dir>/journal.jsonl`` and its value kept once, in the result
+cache's packs; an interrupted (Ctrl-C / SIGTERM) or killed campaign
+re-run with ``--resume`` (or ``REPRO_RESUME=1``) replays journaled
+cells from the packs and simulates only what never completed (or
+whose pack entry was lost).
 ``--retries`` bounds per-cell retry attempts and ``--timeout`` sets the
 per-cell deadline after which a hung worker is killed and respawned;
 ``--heartbeat`` tunes the worker liveness beats that let the supervisor
@@ -95,6 +97,7 @@ from repro.harness.tables import table6
 from repro.obs import configure_tracing
 from repro.obs.metrics import export_metrics
 from repro.obs.summarize import render_summary, summarize_trace
+from repro.obs.trace import TRACE_ENV
 
 
 #: Cache directory when neither ``--cache-dir`` nor ``REPRO_CACHE_DIR``
@@ -337,13 +340,15 @@ def main(argv: list[str] | None = None) -> int:
     profile = PROFILES[args.profile]
     # The environment carries command state to every process, serial or
     # worker: the cache dir places the default trace and profile
-    # outputs beside it (repro.obs.trace.beside_cache_dir), and
-    # precompute "off" keeps cells on the in-process build path even
-    # when REPRO_STORE_DIR is set. Restored afterwards: no flag
-    # outlives the command.
+    # outputs beside it (repro.obs.trace.beside_cache_dir), --cprofile
+    # and --trace switch profiling and tracing on, and precompute "off"
+    # keeps cells on the in-process build path even when
+    # REPRO_STORE_DIR is set. Restored afterwards: no flag outlives the
+    # command.
     cache_dir_env = ENGINE_SETTINGS["cache_dir"][0]
     saved = {
-        name: os.environ.get(name) for name in (cache_dir_env, PRECOMPUTE_ENV)
+        name: os.environ.get(name)
+        for name in (cache_dir_env, PRECOMPUTE_ENV, PROFILE_ENV, TRACE_ENV)
     }
     try:
         if args.cache_dir is not None:

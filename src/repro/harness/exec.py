@@ -23,10 +23,12 @@ guarantees.
 Fault tolerance — the measurement substrate must be at least as
 dependable as the system under test:
 
-* **Crash-safe journal + resume.** With a :class:`RunJournal` attached,
-  every finished cell is durably appended before it is reported; after
-  a crash/SIGKILL, ``resume=True`` replays journaled outcomes (zero
-  re-simulation) and runs only the cells that never completed.
+* **Crash-safe journal + resume.** An engine with a result cache
+  journals every finished cell's outcome to ``<cache-dir>/journal.jsonl``
+  and reports the cell only once that record and the cell's pack entry
+  are fsync'd; after a crash/SIGKILL, ``resume=True`` replays journaled
+  cells from the pack (zero re-simulation) and runs only the cells that
+  never completed.
 * **Worker supervision.** Parallel cells run on dedicated worker
   processes watched by a supervisor: a worker that crashes or blows its
   per-cell deadline is killed and respawned, and its cell is retried
@@ -88,12 +90,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import CampaignInterrupted, ConfigurationError, JournalError
 from repro.harness.faults import FaultPlan, faults_from_env, release_fault_state
-from repro.harness.journal import (
-    DEFAULT_BATCH_ENTRIES,
-    DEFAULT_LINGER_SECONDS,
-    JournalEntry,
-    RunJournal,
-)
+from repro.harness.journal import JournalEntry, RunJournal
 from repro.harness.reaper import reap_orphans
 from repro.harness.profiling import maybe_profile, reset_claim
 from repro.harness import store as precompute
@@ -126,8 +123,8 @@ MAX_BATCH_CELLS = 32
 #: Layout version of the failure manifest (``failures.json``).
 MANIFEST_FORMAT_VERSION = 1
 
-#: File the failure manifest is rendered to, next to the journal (or in
-#: the cache directory when no journal is attached).
+#: File the failure manifest is rendered to, in the cache directory
+#: (beside the journal).
 MANIFEST_NAME = "failures.json"
 
 # Engine-level metrics, recorded per cell / per supervision event (never
@@ -441,6 +438,8 @@ class ResultCache:
         #: this instance (one ``stat`` + tail scan per shard, not per
         #: get). A validation failure still forces a full re-scan.
         self._refreshed: set[str] = set()
+        #: Shards appended to since the last :meth:`sync`.
+        self._unsynced: set[str] = set()
 
     # -- paths ----------------------------------------------------------
     @staticmethod
@@ -822,6 +821,20 @@ class ResultCache:
             # writer appended in between and the next refresh re-scans.
             self._scanned[shard] = offset + len(line)
         self._dirty.add(shard)
+        self._unsynced.add(shard)
+
+    def sync(self) -> None:
+        """Fsync every pack shard appended to since the last call.
+
+        The engine calls this before it acks a computed cell, so an
+        acked value survives power loss as its journal record does.
+        Raises ``OSError``, like :meth:`put`. (A compacted shard was
+        already fsync'd by its rewrite and has no open descriptor.)
+        """
+        while self._unsynced:
+            fd = self._fds.get(self._unsynced.pop())
+            if fd is not None:
+                os.fsync(fd)
 
     # -- fault seam -----------------------------------------------------
     def corrupt_entry(self, key: str) -> None:
@@ -933,8 +946,8 @@ class EngineTelemetry:
             self.cache_hits += 1
             return
         if record.status == "replayed":
-            # Replayed cells were *not* looked up in the cache and were
-            # *not* re-simulated: they must never count as misses or
+            # Replayed cells were read from the pack, *not*
+            # re-simulated: they must never count as misses or
             # simulations (they would double-book work that a previous
             # campaign already paid for).
             self.journal_replays += 1
@@ -1849,7 +1862,10 @@ class ExecutionEngine:
         calling process — the debugging fallback — but still consults
         the cache and journal. Results are bit-identical either way.
     cache:
-        Optional :class:`ResultCache`; ``None`` disables caching.
+        Optional :class:`ResultCache`; ``None`` disables caching. The
+        engine journals to ``<cache directory>/journal.jsonl``
+        (:attr:`journal`) exactly when there is a cache: every finished
+        cell is durably journaled before it is reported.
     timeout:
         Per-cell deadline in seconds (parallel mode only: a serial run
         cannot preempt the simulation it is executing). A worker past
@@ -1880,12 +1896,11 @@ class ExecutionEngine:
         Exponential-backoff schedule for those retries: attempt ``n``
         is delayed ``base * 2**(n-1)`` seconds (capped), with
         deterministic jitter — see :func:`backoff_delay`.
-    journal:
-        Optional :class:`RunJournal`; every finished cell is durably
-        appended before being reported.
     resume:
-        Replay journaled outcomes instead of re-running them; only
-        cells absent from (or failed in) the journal execute.
+        Replay journaled outcomes, reading each value from the cache's
+        pack, instead of re-running them; cells absent from (or failed
+        in) the journal, or whose pack entry is missing or damaged,
+        execute.
     faults:
         Optional :class:`FaultPlan` for chaos testing.
     progress:
@@ -1919,7 +1934,6 @@ class ExecutionEngine:
         retries: int = 1,
         backoff_base: float = 0.05,
         backoff_cap: float = 30.0,
-        journal: RunJournal | None = None,
         resume: bool = False,
         faults: FaultPlan | None = None,
         progress: Callable[[str], None] | None = None,
@@ -1955,7 +1969,11 @@ class ExecutionEngine:
         self.retries = retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.journal = journal
+        self.journal = (
+            RunJournal(cache.directory / "journal.jsonl", faults=faults)
+            if cache is not None
+            else None
+        )
         self.resume = resume
         self.faults = faults
         self.progress = progress
@@ -1970,8 +1988,11 @@ class ExecutionEngine:
         #: Finished cells whose journal record is not yet fsync'd
         #: (group commit): the ack — the progress line that marks a
         #: cell resume-skippable — is held until its sequence number is
-        #: durable. (outcome, done, total, seq), FIFO by seq.
-        self._pending_acks: deque[tuple[CellOutcome, int, int, int]] = deque()
+        #: durable. (outcome, done, total, seq), FIFO; ``seq`` is
+        #: ``None`` for a cell with no journal record to wait for.
+        self._pending_acks: deque[
+            tuple[CellOutcome, int, int, int | None]
+        ] = deque()
 
     # ------------------------------------------------------------------
     # Signal handling (graceful shutdown)
@@ -2123,11 +2144,6 @@ class ExecutionEngine:
                         wall_seconds=outcome.wall_seconds,
                         attempts=outcome.attempts,
                         campaign=self._campaign,
-                        value=(
-                            outcome.cell.encode(outcome.value)
-                            if outcome.ok
-                            else None
-                        ),
                         error=outcome.error,
                     )
                 )
@@ -2136,44 +2152,39 @@ class ExecutionEngine:
                 # Durability is waived from here on; release any held
                 # acks — the lines were honest when their cells ran.
                 self._drain_acks(force=True)
-        if seq is not None:
-            # Ack-after-fsync: the progress line (the ack that marks
-            # this cell done and resume-skippable) waits for the
-            # group commit covering its journal record. With a batch
-            # of 1 the record is already durable and the ack is emitted
-            # immediately.
-            self._pending_acks.append((outcome, done, total, seq))
-            self._drain_acks()
-        else:
-            self._drain_acks(force=self.journal is None)
-            self._emit(outcome, done, total)
+        # Ack-after-fsync: the progress line (the ack that marks this
+        # cell done and resume-skippable) waits for the group commit
+        # covering its journal record.
+        self._pending_acks.append((outcome, done, total, seq))
+        self._drain_acks(force=self.journal is None)
         return outcome
 
     def _drain_acks(self, force: bool = False) -> None:
         """Emit held progress lines whose journal records are durable.
 
-        ``force=True`` (teardown after a final flush, or journal
-        degradation) releases everything: at that point either the
-        records are on disk or durability is no longer promised.
+        The journal holds no values, so before any line goes out the
+        pack shards written since the last release are fsync'd too
+        (:meth:`ResultCache.sync`); a failure there degrades the cache
+        like a failed put. ``force=True`` (teardown after a final
+        flush, or journal degradation) releases everything: at that
+        point either the records are on disk or durability is no longer
+        promised.
         """
-        if not self._pending_acks:
-            return
         durable = self.journal.durable_seq if self.journal is not None else 0
-        while self._pending_acks:
-            outcome, done, total, seq = self._pending_acks[0]
-            if not force and seq > durable:
+        ready = 0
+        for _, _, _, seq in self._pending_acks:
+            if not force and seq is not None and seq > durable:
                 break
-            self._pending_acks.popleft()
-            self._emit(outcome, done, total)
-
-    def _replay(self, cell: Any, key: str, entry: JournalEntry) -> Any | None:
-        """Decode a journaled result, or ``None`` if it is unusable."""
-        if not entry.ok or entry.value is None:
-            return None
-        try:
-            return cell.decode(entry.value)
-        except Exception:
-            return None
+            ready += 1
+        if not ready:
+            return
+        if self.cache is not None and "cache" not in self.telemetry.degraded:
+            try:
+                self.cache.sync()
+            except OSError as exc:
+                self._degrade("cache", exc)
+        for _ in range(ready):
+            self._emit(*self._pending_acks.popleft()[:3])
 
     def _book_retry(
         self, cell: Any, key: str, attempt: int, error: str
@@ -2202,8 +2213,6 @@ class ExecutionEngine:
     # Failure manifest
     # ------------------------------------------------------------------
     def _manifest_target(self) -> Path | None:
-        if self.journal is not None:
-            return Path(self.journal.path).parent / MANIFEST_NAME
         if self.cache is not None:
             return Path(self.cache.directory) / MANIFEST_NAME
         return None
@@ -2211,7 +2220,7 @@ class ExecutionEngine:
     def _write_manifest(
         self, outcomes: list[CellOutcome | None], total: int
     ) -> None:
-        """Render ``failures.json`` next to the journal after a run.
+        """Render ``failures.json`` in the cache directory after a run.
 
         Written when any cell ended ``failed``/``poisoned`` (and on a
         fully clean run any stale manifest from a previous campaign is
@@ -2249,12 +2258,8 @@ class ExecutionEngine:
                 }
                 for o in failing
             ],
-            "resume": (
-                "re-run with --resume (or REPRO_RESUME=1) to re-attempt "
-                "exactly these cells"
-                if self.journal is not None
-                else "no journal attached; a re-run re-attempts uncached cells"
-            ),
+            "resume": "re-run with --resume (or REPRO_RESUME=1) to "
+            "re-attempt exactly these cells",
         }
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -2298,10 +2303,6 @@ class ExecutionEngine:
         done = 0
         self._campaign = campaign
         self._pending_acks.clear()
-        if self.journal is not None and self.journal.faults is None:
-            # The group-commit crash window (journal-batch-crash) fires
-            # inside the journal's flush; hand it this run's plan.
-            self.journal.faults = self.faults
         run_span = obs_trace.span(
             "engine.run",
             campaign=campaign,
@@ -2330,43 +2331,28 @@ class ExecutionEngine:
             pending: list[tuple[int, Any, str]] = []
             for index, cell in enumerate(cells):
                 key = cell_key(cell)
-                entry = journaled.get(key)
-                if entry is not None:
-                    value = self._replay(cell, key, entry)
-                    if value is not None:
-                        done += 1
-                        with obs_trace.span("cell.replayed", label=cell.label):
-                            outcomes[index] = self._finish(
-                                CellOutcome(
-                                    cell=cell,
-                                    key=key,
-                                    value=value,
-                                    status="replayed",
-                                    wall_seconds=0.0,
-                                    attempts=0,
-                                ),
-                                done,
-                                total,
-                            )
-                        continue
                 payload = self.cache.get(key) if self.cache is not None else None
-                if payload is not None:
-                    done += 1
-                    with obs_trace.span("cell.hit", label=cell.label):
-                        outcomes[index] = self._finish(
-                            CellOutcome(
-                                cell=cell,
-                                key=key,
-                                value=cell.decode(payload["value"]),
-                                status="hit",
-                                wall_seconds=0.0,
-                                attempts=0,
-                            ),
-                            done,
-                            total,
-                        )
-                else:
+                if payload is None:
                     pending.append((index, cell, key))
+                    continue
+                # A journaled ok cell replays; its value, like a hit's,
+                # comes from the pack.
+                entry = journaled.get(key)
+                status = "replayed" if entry is not None and entry.ok else "hit"
+                done += 1
+                with obs_trace.span(f"cell.{status}", label=cell.label):
+                    outcomes[index] = self._finish(
+                        CellOutcome(
+                            cell=cell,
+                            key=key,
+                            value=cell.decode(payload["value"]),
+                            status=status,
+                            wall_seconds=0.0,
+                            attempts=0,
+                        ),
+                        done,
+                        total,
+                    )
 
             if pending and self.store is not None:
                 # Populate-before-fan-out: every distinct artifact the
@@ -2629,9 +2615,7 @@ def engine_from_env(
     with no directory at all, caching is off. Placement:
 
     * the journal is ``<cache-dir>/journal.jsonl`` exactly when the
-      result cache is on, group-committing with
-      :data:`~repro.harness.journal.DEFAULT_BATCH_ENTRIES` and
-      :data:`~repro.harness.journal.DEFAULT_LINGER_SECONDS`;
+      result cache is on (the engine opens it beside its cache);
     * the precompute store, unless ``precompute`` is off, is
       ``store_dir``, else ``<cache-dir>/store`` (even with the result
       cache off: the store memoizes cell *inputs*, not results), else
@@ -2656,14 +2640,9 @@ def engine_from_env(
         return ENGINE_SETTINGS[name][3] if value is None else value
 
     cache_dir = setting("cache_dir") or default_cache_dir
-    cache = journal = None
+    cache = None
     if setting("cache") and cache_dir is not None:
         cache = ResultCache(cache_dir)
-        journal = RunJournal(
-            Path(cache_dir) / "journal.jsonl",
-            batch_entries=DEFAULT_BATCH_ENTRIES,
-            linger_seconds=DEFAULT_LINGER_SECONDS,
-        )
     store: PrecomputeStore | None = None
     if setting("precompute"):
         store_dir = setting("store_dir")
@@ -2684,7 +2663,6 @@ def engine_from_env(
         heartbeat=setting("heartbeat"),
         stall_timeout=setting("stall_timeout") or None,
         retries=setting("retries"),
-        journal=journal,
         resume=setting("resume"),
         faults=faults_from_env(),
         progress=progress,

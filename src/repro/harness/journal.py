@@ -3,10 +3,17 @@
 A long campaign (a figure's mix grid, the Figure 11 sensitivity sweep,
 Table 6) is dozens of multi-second simulation cells. If the process
 dies mid-run — machine crash, OOM kill, Ctrl-C — the journal is what
-survives: every *finished* cell was appended as one self-contained JSON
-line (fsync'd before the engine reports the cell done), so a restart
-with ``--resume`` / ``REPRO_RESUME=1`` replays journaled results and
-re-runs only the cells that never completed or failed.
+survives: every *finished* cell's outcome was appended as one JSON line
+(fsync'd before the engine reports the cell done), so a restart with
+``--resume`` / ``REPRO_RESUME=1`` replays journaled results and re-runs
+only the cells that never completed or failed.
+
+The journal is an index, not a store: a line records a cell's key,
+label, status, attempts, wall time, campaign and error — never its
+value. Values live once, in the result cache's pack segments
+(:class:`repro.harness.exec.ResultCache`); a replay reads the value
+from there, and a journaled cell whose pack entry is gone or damaged
+is simulated again.
 
 Design points that make the journal trustworthy after a hard kill:
 
@@ -17,32 +24,26 @@ Design points that make the journal trustworthy after a hard kill:
 * **Per-line checksum.** Each record carries a SHA-256 digest of its
   own fields, so a torn or bit-flipped line is detected even when it
   happens to remain valid JSON.
-* **Self-contained values.** Computed results are stored in encoded
-  (JSON) form in the line itself, so resume works even with the result
-  cache disabled or lost.
 * **Last entry wins.** Re-running a campaign appends; on load, the
   newest record for a cell key shadows older ones, so a cell that
   failed yesterday and succeeded today resumes as succeeded.
 
-Group commit: on grids of trivial cells the per-entry fsync *is* the
-campaign — one disk flush per cell. With ``batch_entries > 1`` the
-journal buffers serialized lines in user space and commits them with a
-single ``write`` + ``fsync`` per batch, bounded by the entry count and
-a linger deadline (a daemon flusher thread commits a partial batch at
-most ``linger_seconds`` after its first entry; shutdown and degraded
-teardown flush whatever remains). The durability contract is kept by
-*deferring the ack*, not weakening it: :meth:`record` returns a
-sequence number, :attr:`durable_seq` advances only after the batch's
-fsync, and the engine reports a cell done (making it resume-skippable)
-only once its sequence number is durable. Engines built by
-:func:`repro.harness.exec.engine_from_env` (the CLI's included) always
-group-commit with :data:`DEFAULT_BATCH_ENTRIES` /
-:data:`DEFAULT_LINGER_SECONDS`; ``batch_entries=1``, the constructor
-default, is fully synchronous: one fsync per entry.
+Group commit: on grids of trivial cells a per-entry fsync *is* the
+campaign — one disk flush per cell. So the journal buffers serialized
+lines in user space and commits them with a single ``write`` +
+``fsync`` per batch, bounded by :data:`DEFAULT_BATCH_ENTRIES` entries
+and a linger deadline (a daemon flusher thread commits a partial batch
+at most :data:`DEFAULT_LINGER_SECONDS` after its first entry; shutdown
+and degraded teardown flush whatever remains). The durability contract
+is kept by *deferring the ack*, not weakening it: :meth:`record`
+returns a sequence number, :attr:`durable_seq` advances only after the
+batch's fsync, and the engine reports a cell done (making it
+resume-skippable) only once its sequence number is durable and the
+pack shards holding new values are fsync'd too.
 
-The journal lives next to the result cache by default
-(``<cache-dir>/journal.jsonl``); the engine writes one record per
-computed / cache-hit / failed cell and never rewrites existing lines.
+The journal lives next to the result cache (``<cache-dir>/journal.jsonl``);
+the engine writes one record per computed / cache-hit / failed cell
+and never rewrites existing lines.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, TextIO
 
-from repro.errors import ConfigurationError, JournalError
+from repro.errors import JournalError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -64,11 +65,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults ↔ journal)
     from repro.harness.faults import FaultPlan
 
 #: Bump when the journal line layout changes incompatibly; old journals
-#: are then ignored on resume instead of being misread.
-JOURNAL_FORMAT_VERSION = 1
+#: are then ignored on resume instead of being misread. (2: lines no
+#: longer carry the cell's value; the result cache's pack holds it.)
+JOURNAL_FORMAT_VERSION = 2
 
-#: Group-commit settings of the journal of every engine built by
-#: :func:`repro.harness.exec.engine_from_env`.
+#: Group commit: entries per fsync batch, and the longest a partial
+#: batch waits for its fsync.
 DEFAULT_BATCH_ENTRIES = 64
 DEFAULT_LINGER_SECONDS = 0.05
 
@@ -102,8 +104,6 @@ class JournalEntry:
     wall_seconds: float
     attempts: int
     campaign: str | None = None
-    #: Encoded (JSON-able) result payload for successful cells.
-    value: Any | None = None
     error: str | None = None
 
     @property
@@ -117,29 +117,13 @@ class JournalEntry:
 class RunJournal:
     """Append-only JSONL journal of campaign cell outcomes.
 
-    Records are flushed and fsync'd as they are written:
-    once the engine has reported a cell finished, that outcome survives
-    SIGKILL. With ``batch_entries > 1`` the same guarantee is kept via
-    group commit — see the module docstring.
+    Records are group-committed (see the module docstring): once the
+    engine has reported a cell finished, its outcome survives SIGKILL.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        batch_entries: int = 1,
-        linger_seconds: float = 0.0,
-        faults: "FaultPlan | None" = None,
-    ):
-        if batch_entries < 1:
-            raise ConfigurationError("batch_entries must be >= 1")
-        if linger_seconds < 0:
-            raise ConfigurationError("linger_seconds must be >= 0")
+    def __init__(self, path: str | Path, *, faults: "FaultPlan | None" = None):
         self.path = Path(path)
-        self.batch_entries = batch_entries
-        self.linger_seconds = linger_seconds
-        #: Fault plan consulted at each flush (``journal-batch-crash``);
-        #: the engine attaches its own plan here when none was given.
+        #: Fault plan consulted at each flush (``journal-batch-crash``).
         self.faults = faults
         self._handle: TextIO | None = None
         #: Lines skipped by the last :meth:`load` (torn writes, bit rot).
@@ -224,17 +208,17 @@ class RunJournal:
         _M_BATCH.observe(entries)
 
     def _linger_flusher(self) -> None:
-        # Commits a partial batch at most linger_seconds after its first
-        # entry, so slow cells are not held hostage by a big batch size.
-        while not self._closed.wait(self.linger_seconds / 2 or 0.01):
+        # Commits a partial batch at most DEFAULT_LINGER_SECONDS after
+        # its first entry, so slow cells are not held hostage by a big
+        # batch size. Exits once the buffer is empty; the next record
+        # restarts it, so an idle journal holds no thread.
+        while not self._closed.wait(DEFAULT_LINGER_SECONDS / 2):
             with self._lock:
-                if self._handle is None or self._handle.closed:
-                    continue
-                if (
-                    self._buffered_at is not None
-                    and time.monotonic() - self._buffered_at
-                    >= self.linger_seconds
-                ):
+                if self._buffered_at is None:
+                    self._flusher = None
+                    return
+                age = time.monotonic() - self._buffered_at
+                if age >= DEFAULT_LINGER_SECONDS:
                     try:
                         self._flush_locked()
                     except JournalError:
@@ -243,12 +227,8 @@ class RunJournal:
                         pass
 
     def _ensure_flusher(self) -> None:
-        if (
-            self.linger_seconds > 0
-            and self.batch_entries > 1
-            and (self._flusher is None or not self._flusher.is_alive())
-            and not self._closed.is_set()
-        ):
+        # Called with _lock held.
+        if self._flusher is None and not self._closed.is_set():
             self._flusher = threading.Thread(
                 target=self._linger_flusher,
                 name="journal-linger-flush",
@@ -260,16 +240,11 @@ class RunJournal:
     def record(self, entry: JournalEntry) -> int:
         """Append one cell outcome; returns its sequence number.
 
-        With the default ``batch_entries=1`` the record is durable
-        (written, flushed, fsync'd) when this returns. Under group
-        commit it may still be buffered: the caller must hold its ack
-        until the returned sequence number is ``<= durable_seq``
-        (advanced by the batch's fsync, forced by :meth:`flush`).
+        The record may still be buffered when this returns: the caller
+        must hold its ack until the returned sequence number is
+        ``<= durable_seq`` (advanced by the batch's fsync, forced by
+        :meth:`flush`).
         """
-        # Built by hand rather than dataclasses.asdict(): asdict deep-
-        # copies the embedded value payload, which on trivial-cell grids
-        # costs more than the serialization itself. json.dumps never
-        # mutates, so sharing the reference is safe.
         fields = {
             "kind": "cell",
             "format": JOURNAL_FORMAT_VERSION,
@@ -279,7 +254,6 @@ class RunJournal:
             "wall_seconds": entry.wall_seconds,
             "attempts": entry.attempts,
             "campaign": entry.campaign,
-            "value": entry.value,
             "error": entry.error,
         }
         # Serialize once: the checksum is over the canonical (sorted)
@@ -297,7 +271,7 @@ class RunJournal:
             self._buffer.append(line)
             if self._buffered_at is None:
                 self._buffered_at = time.monotonic()
-            if len(self._buffer) >= self.batch_entries:
+            if len(self._buffer) >= DEFAULT_BATCH_ENTRIES:
                 self._flush_locked()
             else:
                 self._ensure_flusher()
@@ -358,7 +332,6 @@ class RunJournal:
                         wall_seconds=fields["wall_seconds"],
                         attempts=fields["attempts"],
                         campaign=fields.get("campaign"),
-                        value=fields.get("value"),
                         error=fields.get("error"),
                     )
                 except KeyError:

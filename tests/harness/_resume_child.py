@@ -1,11 +1,12 @@
 """Child campaign for the crash/interrupt resume tests.
 
-Runs a small serial campaign against a journal whose path is given on
-the command line, printing one progress line per finished cell (the
-parent test kills the process after a couple of lines) and a final
-``RESULT {json}`` line with the telemetry the parent asserts on.
+Runs a small serial campaign against a result cache (and so a journal,
+``CACHE_DIR/journal.jsonl``) whose directory is given on the command
+line, printing one progress line per finished cell (the parent test
+kills the process after a couple of lines) and a final ``RESULT {json}``
+line with the telemetry the parent asserts on.
 
-Usage: python _resume_child.py JOURNAL_PATH [--resume]
+Usage: python _resume_child.py CACHE_DIR [--resume]
 
 Exit status 130 on SIGINT, mirroring the ``python -m repro`` CLI.
 """
@@ -18,8 +19,7 @@ import time
 from pathlib import Path
 
 from repro.errors import CampaignInterrupted
-from repro.harness.exec import ExecutionEngine
-from repro.harness.journal import RunJournal
+from repro.harness.exec import ExecutionEngine, ResultCache
 
 CELLS = 4
 CELL_SECONDS = 0.4
@@ -27,7 +27,7 @@ CELL_SECONDS = 0.4
 
 class SlowCell:
     """Deterministic slow cell: value carries floats that must survive
-    the journal round-trip bit-identically."""
+    the pack round-trip bit-identically."""
 
     def __init__(self, index: int):
         self.index = index
@@ -57,11 +57,11 @@ class SlowCell:
 
 
 def main() -> int:
-    journal_path = Path(sys.argv[1])
+    cache_dir = Path(sys.argv[1])
     resume = "--resume" in sys.argv[2:]
     engine = ExecutionEngine(
         jobs=1,
-        journal=RunJournal(journal_path),
+        cache=ResultCache(cache_dir),
         resume=resume,
         progress=lambda line: print(line, flush=True),
     )
@@ -73,6 +73,7 @@ def main() -> int:
     result = {
         "simulations": engine.telemetry.simulations,
         "replays": engine.telemetry.journal_replays,
+        "hits": engine.telemetry.cache_hits,
         "values": [o.value for o in outcomes],
         "statuses": [o.status for o in outcomes],
     }

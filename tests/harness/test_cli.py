@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
 from operator import attrgetter
 
 import pytest
@@ -148,6 +149,44 @@ class TestOutputsBesideCacheDir:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env" / "cache"))
         self.run_mix(monkeypatch, tmp_path, [])
         self.assert_outputs_in(tmp_path / "env")
+
+
+class TestEnvironmentRestored:
+    def test_cprofile_and_trace_do_not_outlive_the_command(
+        self, monkeypatch, tmp_path
+    ):
+        """``--cprofile`` and ``--trace`` switch profiling and tracing on
+        through the environment for the command's duration only."""
+        from tests.harness.test_exec import SleepCell
+
+        monkeypatch.delenv(PROFILE_ENV, raising=False)
+        monkeypatch.delenv(PROFILE_DIR_ENV, raising=False)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.delenv(TRACE_ENV, raising=False)
+        tracing_enabled()  # drop any tracer a previous test left open
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        trace = tmp_path / "trace.jsonl"
+        before = dict(os.environ)
+        argv = [
+            "--profile", "test", "--cache-dir", str(tmp_path / "cache"),
+            "--cprofile", "all", "--trace", str(trace),
+            "mix", "1", "--schemes", "static",
+        ]
+        assert main(argv) == 0
+        assert dict(os.environ) == before
+        assert not tracing_enabled()  # also closes the trace file
+        profiles = sorted(tmp_path.rglob("profile-*.pstats"))
+        assert len(profiles) == 1
+        traced = trace.read_bytes()
+        assert traced
+
+        # A later in-process engine neither profiles nor traces.
+        ExecutionEngine(jobs=1).run([SleepCell(0.01)])
+        assert sorted(tmp_path.rglob("profile-*.pstats")) == profiles
+        assert trace.read_bytes() == traced
+        assert list(cwd.iterdir()) == []
 
 
 class TestSchemesFlag:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -98,12 +99,12 @@ def run_campaign(
     resume: bool = False,
     stall_timeout: float | None = None,
 ):
-    """One small parallel campaign with the full I/O stack attached."""
+    """One small parallel campaign with the full I/O stack attached
+    (``root/packs``, ``root/journal.jsonl`` and ``root/store``)."""
     root = tmp_path / subdir
     engine = ExecutionEngine(
         jobs=2,
-        cache=ResultCache(root / "cache"),
-        journal=RunJournal(root / "journal.jsonl"),
+        cache=ResultCache(root),
         resume=resume,
         store=PrecomputeStore(root / "store"),
         timeout=5.0,
@@ -256,7 +257,8 @@ class TestFaultMatrix:
 
     def test_degraded_journal_still_completes_without_resume(self, tmp_path):
         """With the journal degraded mid-run, later cells are simply not
-        journaled — a resume re-runs them, it does not crash."""
+        journaled — a resume serves them from the pack or re-runs them,
+        it does not crash."""
         state = tmp_path / "fault-state"
         state.mkdir()
         plan = parse_fault_spec(f"io-error=journal;state={state}")
@@ -268,13 +270,13 @@ class TestFaultMatrix:
         assert len(journaled) < TOTAL
 
 
-def run_groupcommit_child(journal: Path, *args: str) -> subprocess.CompletedProcess:
+def run_groupcommit_child(cache: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_FAULTS", None)
     env.pop("REPRO_RESUME", None)
     return subprocess.run(
-        [sys.executable, str(GROUPCOMMIT_CHILD), str(journal), *args],
+        [sys.executable, str(GROUPCOMMIT_CHILD), str(cache), *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -286,7 +288,14 @@ def run_groupcommit_child(journal: Path, *args: str) -> subprocess.CompletedProc
 def parse_child_result(output: str) -> dict:
     result_lines = [l for l in output.splitlines() if l.startswith("RESULT ")]
     assert result_lines, output
-    return json.loads(result_lines[-1][len("RESULT "):])
+    result = json.loads(result_lines[-1][len("RESULT "):])
+    snap = result["snapshot"]
+    assert (
+        snap["computed"] + snap["hit"] + snap["replayed"] + snap["failed"]
+        == snap["total"]
+        == GC_CELLS
+    ), snap
+    return result
 
 
 class TestJournalBatchCrashWindow:
@@ -298,12 +307,16 @@ class TestJournalBatchCrashWindow:
     the fsync that made its record durable. ``journal-batch-crash=2``
     hard-kills the child at the start of the second flush, while that
     batch is still in user space — the buffered cells must be neither
-    acked nor journaled, and ``--resume`` must re-attempt exactly them.
+    acked nor journaled. Their values were appended to the pack before
+    the crash (unsynced, but a process exit does not drop them), so
+    ``--resume`` serves them as cache hits; with the packs gone too, it
+    re-simulates exactly the cells whose values were lost.
     """
 
     def test_journal_batch_crash_loses_only_unacked_cells(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        crashed = run_groupcommit_child(journal, "journal-batch-crash=2")
+        cache = tmp_path / "cache"
+        journal = cache / "journal.jsonl"
+        crashed = run_groupcommit_child(cache, "journal-batch-crash=2")
         assert crashed.returncode == CRASH_EXIT_CODE, crashed.stdout
 
         # Acks stop at the durability horizon: only the first batch's
@@ -321,40 +334,69 @@ class TestJournalBatchCrashWindow:
         assert len(loaded) == GC_BATCH
         assert all(entry.ok for entry in loaded.values())
 
-        # Resume replays the durable cells and re-attempts exactly the
-        # lost ones — never trusting an un-fsync'd ack.
-        resumed = run_groupcommit_child(journal, "--resume")
+        # Resume replays the durable cells; the lost records' cells are
+        # served from their pack entries — never acked, never replayed.
+        resumed = run_groupcommit_child(cache, "--resume")
         assert resumed.returncode == 0, resumed.stdout
         result = parse_child_result(resumed.stdout)
         assert result["replays"] == GC_BATCH
-        assert result["simulations"] == GC_CELLS - GC_BATCH
+        assert result["hits"] == GC_CELLS - GC_BATCH
+        assert result["simulations"] == 0
         assert result["statuses"] == (
-            ["replayed"] * GC_BATCH + ["computed"] * (GC_CELLS - GC_BATCH)
+            ["replayed"] * GC_BATCH + ["hit"] * (GC_CELLS - GC_BATCH)
         )
 
         # Bit-identical to an uninterrupted reference run.
-        clean = run_groupcommit_child(tmp_path / "reference.jsonl")
+        clean = run_groupcommit_child(tmp_path / "reference")
         assert clean.returncode == 0, clean.stdout
         reference = parse_child_result(clean.stdout)
         assert reference["simulations"] == GC_CELLS
         assert result["values"] == reference["values"]
 
     def test_journal_batch_first_flush_crash_loses_everything(self, tmp_path):
-        """Crash before any fsync: zero acks, empty journal, full rerun."""
-        journal = tmp_path / "journal.jsonl"
-        crashed = run_groupcommit_child(journal, "journal-batch-crash=1")
+        """Crash before any fsync: zero acks, empty journal, nothing
+        replayed; the first batch's packed values serve as hits."""
+        cache = tmp_path / "cache"
+        crashed = run_groupcommit_child(cache, "journal-batch-crash=1")
         assert crashed.returncode == CRASH_EXIT_CODE, crashed.stdout
         acked = [
             l for l in crashed.stdout.splitlines() if l.startswith("[exec")
         ]
         assert acked == [], crashed.stdout
-        assert len(RunJournal(journal).load()) == 0
+        assert len(RunJournal(cache / "journal.jsonl").load()) == 0
 
-        resumed = run_groupcommit_child(journal, "--resume")
+        resumed = run_groupcommit_child(cache, "--resume")
         assert resumed.returncode == 0, resumed.stdout
         result = parse_child_result(resumed.stdout)
         assert result["replays"] == 0
+        assert result["hits"] == GC_BATCH
+        assert result["simulations"] == GC_CELLS - GC_BATCH
+
+    def test_journal_batch_crash_without_packs_reruns_lost_cells(
+        self, tmp_path
+    ):
+        """The journal is an index, not a store: with the packs gone,
+        even the durably journaled cells have no value to replay, and
+        ``--resume`` re-simulates exactly the cells whose values were
+        lost — bit-identically."""
+        cache = tmp_path / "cache"
+        crashed = run_groupcommit_child(cache, "journal-batch-crash=2")
+        assert crashed.returncode == CRASH_EXIT_CODE, crashed.stdout
+        loaded = RunJournal(cache / "journal.jsonl").load()
+        assert len(loaded) == GC_BATCH
+        assert all(entry.ok for entry in loaded.values())
+        shutil.rmtree(cache / "packs")
+
+        resumed = run_groupcommit_child(cache, "--resume")
+        assert resumed.returncode == 0, resumed.stdout
+        result = parse_child_result(resumed.stdout)
+        assert result["replays"] == result["hits"] == 0
         assert result["simulations"] == GC_CELLS
+        assert result["statuses"] == ["computed"] * GC_CELLS
+
+        clean = run_groupcommit_child(tmp_path / "reference")
+        assert clean.returncode == 0, clean.stdout
+        assert result["values"] == parse_child_result(clean.stdout)["values"]
 
 
 class TestFdHygiene:

@@ -123,13 +123,16 @@ class TestWorkerCrashRecovery:
     def test_completed_results_survive_a_crash(self, tmp_path):
         """Prior completed cells stay journaled when a later cell crashes."""
         plan = FaultPlan(crash_cells=("sleep[0.2]",))
-        journal = RunJournal(tmp_path / "j.jsonl")
         engine = ExecutionEngine(
-            jobs=2, retries=0, backoff_base=0.01, faults=plan, journal=journal
+            jobs=2,
+            retries=0,
+            backoff_base=0.01,
+            faults=plan,
+            cache=ResultCache(tmp_path),
         )
         outcomes = engine.run([SleepCell(0.01), SleepCell(0.2)])
         assert outcomes[0].status == "computed"
-        loaded = RunJournal(tmp_path / "j.jsonl").load()
+        loaded = RunJournal(tmp_path / "journal.jsonl").load()
         assert loaded[outcomes[0].key].ok
         assert not loaded[outcomes[1].key].ok
 

@@ -31,7 +31,6 @@ from repro.harness.exec import (
     ResultCache,
     cell_key,
 )
-from repro.harness.journal import RunJournal
 from repro.harness.report import render_telemetry
 from repro.obs.summarize import render_summary, summarize_trace
 from repro.obs.trace import TRACE_ENV
@@ -138,13 +137,11 @@ class TestAccountingInvariant:
         """Satellite bugfix audit: resume must not double-book work a
         previous campaign already paid for."""
         cells = [WorkCell(i) for i in range(3)]
-        journal = RunJournal(tmp_path / "journal.jsonl")
-        first = ExecutionEngine(jobs=1, journal=journal)
+        first = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path))
         first.run(cells)
-        journal.close()
 
         resumed = ExecutionEngine(
-            jobs=1, journal=RunJournal(tmp_path / "journal.jsonl"), resume=True
+            jobs=1, cache=ResultCache(tmp_path), resume=True
         )
         resumed.run(cells)
         assert_invariant(resumed)
@@ -160,13 +157,9 @@ class TestAccountingInvariant:
         """The printed telemetry block renders the same canonical
         counters the exporters publish."""
         cells = [WorkCell(i) for i in range(2)]
-        journal = RunJournal(tmp_path / "journal.jsonl")
-        ExecutionEngine(jobs=1, journal=journal).run(cells)
-        journal.close()
+        ExecutionEngine(jobs=1, cache=ResultCache(tmp_path)).run(cells)
         engine = ExecutionEngine(
-            jobs=1,
-            journal=RunJournal(tmp_path / "journal.jsonl"),
-            resume=True,
+            jobs=1, cache=ResultCache(tmp_path), resume=True
         )
         engine.run(cells + [WorkCell(99)])
         assert_invariant(engine)
@@ -218,12 +211,10 @@ class TestScienceVersion:
     def test_resume_over_another_versions_journal_replays_nothing(
         self, tmp_path, monkeypatch
     ):
-        journal = RunJournal(tmp_path / "journal.jsonl")
-        ExecutionEngine(jobs=1, journal=journal).run(self.CELLS)
-        journal.close()
+        ExecutionEngine(jobs=1, cache=ResultCache(tmp_path)).run(self.CELLS)
         monkeypatch.setattr(store, "SCIENCE_VERSION", store.SCIENCE_VERSION + 1)
         engine = ExecutionEngine(
-            jobs=1, journal=RunJournal(tmp_path / "journal.jsonl"), resume=True
+            jobs=1, cache=ResultCache(tmp_path), resume=True
         )
         engine.run(self.CELLS)
         assert_invariant(engine)

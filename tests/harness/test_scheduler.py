@@ -27,11 +27,11 @@ import pytest
 from repro.harness.exec import (
     ExecutionEngine,
     MixSchemeCell,
+    ResultCache,
     _Supervisor,
     cell_key,
     expected_cost,
 )
-from repro.harness.journal import RunJournal
 from repro.harness.runconfig import TEST
 from repro.obs.trace import TRACE_ENV
 from repro.registry import scheme_cost_weight
@@ -292,14 +292,13 @@ class TestRunQueue:
 
 class TestResumeUnderBatching:
     def test_invariant_holds_with_replays_and_batches(self, tmp_path):
-        journal = RunJournal(tmp_path / "journal.jsonl")
         old = [BatchableCell(i, 0.0) for i in range(6)]
-        first = ExecutionEngine(jobs=4, journal=journal)
+        first = ExecutionEngine(jobs=4, cache=ResultCache(tmp_path))
         first.run(old)
 
         new = [BatchableCell(i, 0.0) for i in range(6, 10)]
         second = ExecutionEngine(
-            jobs=4, journal=RunJournal(journal.path), resume=True
+            jobs=4, cache=ResultCache(tmp_path), resume=True
         )
         outcomes = second.run(old + new)
         assert all(o.ok for o in outcomes)

@@ -2429,6 +2429,14 @@ class ExecutionEngine:
                 except (OSError, JournalError) as exc:
                     self._degrade("journal", exc)
             self._drain_acks(force=True)
+            if self.journal is not None:
+                # Drop the append handle and the linger flusher, as the
+                # cache drops its descriptors below; the next run's
+                # first record reopens both.
+                try:
+                    self.journal.close()
+                except (OSError, JournalError) as exc:
+                    self._degrade("journal", exc)
             if self.cache is not None:
                 # Persist pack sidecar indexes and drop descriptors so
                 # a campaign never leaks fds across runs.

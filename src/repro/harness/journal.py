@@ -350,8 +350,18 @@ class RunJournal:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
+        """Commit buffered entries, stop the linger flusher, close the file.
+
+        The journal stays usable: the next :meth:`record` reopens the
+        file and starts a new flusher.
+        """
         self._closed.set()
+        flusher = self._flusher
+        if flusher is not None:
+            flusher.join()
         with self._lock:
+            self._flusher = None
+            self._closed.clear()
             if self._handle is not None and not self._handle.closed:
                 try:
                     self._flush_locked()

@@ -3,14 +3,10 @@
 from repro.monitor.footprint import FootprintMetric
 from repro.monitor.metrics import TimingDependentView, UtilizationMonitor
 from repro.monitor.umon import UMONMonitor
-from repro.monitor.window import COLD_DISTANCE, FenwickTree, ReuseDistanceTracker
 
 __all__ = [
     "UMONMonitor",
     "FootprintMetric",
     "UtilizationMonitor",
     "TimingDependentView",
-    "ReuseDistanceTracker",
-    "FenwickTree",
-    "COLD_DISTANCE",
 ]

@@ -3,9 +3,16 @@
 For each security domain, the monitor estimates how many LLC hits the
 domain's recent accesses would have achieved under *each* supported
 partition size. The hardware realization is a tag-only shadow table over
-sampled sets; the software model here uses the equivalent Mattson stack
-analysis (see :mod:`repro.monitor.window`): hits at size ``C`` = number
-of monitored accesses with reuse distance below ``C`` lines.
+sampled sets; the software model here is the equivalent Mattson stack
+analysis. An access hits in an LRU partition of ``C`` lines exactly when
+fewer than ``C`` distinct other lines were touched since its previous
+access, so one pass yields hits at every candidate size.
+
+The monitor only needs each access's *bin*: the smallest candidate size
+it would hit, or "misses everywhere". It keeps a capped LRU recency
+stack with one boundary pointer per candidate size, which yields that
+bin directly instead of an exact reuse distance (see
+:class:`UMONMonitor`).
 
 Two operating modes matter for the paper:
 
@@ -24,14 +31,16 @@ like UMON's sampled shadow sets.
 
 from __future__ import annotations
 
-import bisect
-
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.monitor.window import COLD_DISTANCE, ReuseDistanceTracker
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: The recency stack renumbers its live lines densely once its slot
+#: list reaches this multiple of ``max(deepest capacity, floor)``.
+_COMPACT_FACTOR = 4
+_COMPACT_FLOOR = 16
 
 
 def _mix64(x: int) -> int:
@@ -88,6 +97,21 @@ class UMONMonitor:
     timing_independent:
         Declared compliance with Principle 1; checked by
         :func:`repro.core.principles.require_timing_independent_metric`.
+
+    The sampled lines form an LRU recency stack: ``_last`` maps each
+    tracked line to the timestamp of its latest access, and
+    ``_slots[t]`` holds the line last accessed at ``t`` (``None`` once
+    that line moved on or was forgotten). Candidate size ``j`` has the
+    capacity ``ceil(size_j / 2**shift)`` in sampled lines (the sampled
+    stack stands for ``2**shift`` times as many lines), and boundary
+    ``_bounds[j]`` is the timestamp of the ``capacity_j``-th most
+    recent tracked line, or -1 while fewer lines are tracked. An access
+    whose previous timestamp is ``p`` hits at size ``j`` exactly when
+    ``p >= _bounds[j]``, so its bin is ``#{j : p < _bounds[j]}``; every
+    boundary at or above ``p`` then moves up to the next live slot.
+    Lines that fall below the deepest boundary can only miss at every
+    size on their next access, the same bin as a cold access, so they
+    are forgotten: the stack holds at most the deepest capacity's lines.
     """
 
     def __init__(
@@ -110,14 +134,24 @@ class UMONMonitor:
         self._sampling_mask = (1 << sampling_shift) - 1
         self._scale = float(1 << sampling_shift)
         self.timing_independent = timing_independent
-        self._tracker = ReuseDistanceTracker()
+        # Sizes whose capacities collide (say 16 and 32 lines at shift 5)
+        # keep equal boundaries.
+        self._capacities = [-(-size >> sampling_shift) for size in sizes]
+        self._compact_at = _COMPACT_FACTOR * max(
+            self._capacities[-1], _COMPACT_FLOOR
+        )
+        self._last: dict[int, int] = {}
+        self._slots: list[int | None] = []
+        # One boundary per size, then a -2 sentinel below every
+        # timestamp that ends the boundary scans.
+        self._bounds = [-1] * len(sizes) + [-2]
         # _bins[i] counts accesses whose smallest hitting size is sizes[i];
         # the last bin collects accesses that miss at every candidate size.
         self._bins = np.zeros(len(sizes) + 1, dtype=np.float64)
         self._epoch_accesses = 0.0
         self.total_observed = 0
         #: Accesses that passed the set-sampling filter (== fed to the
-        #: stack tracker; equals ``total_observed`` when sampling is
+        #: recency stack; equals ``total_observed`` when sampling is
         #: off). Exported on the ``sim.run`` trace span, so campaigns
         #: can verify the sampling rate the monitor actually achieved.
         self.sampled_observed = 0
@@ -143,25 +177,7 @@ class UMONMonitor:
         if self._sampling_mask and (_mix64(line_addr) & self._sampling_mask):
             return
         self.sampled_observed += 1
-        distance = self._tracker.observe(line_addr)
-        if distance == COLD_DISTANCE:
-            bin_index = len(self._sizes)
-        else:
-            # The tracker only sees the sampled 1/2**shift of the lines,
-            # so its stack distance represents ~2**shift times as many
-            # total lines (like UMON scaling sampled-set distances up to
-            # full-cache capacity).
-            distance <<= self._sampling_shift
-            # Smallest candidate size C with distance < C; past the last
-            # candidate the access misses at every size (the last bin).
-            bin_index = bisect.bisect_right(self._sizes, distance)
-        self._bins[bin_index] += 1.0
-        self._epoch_accesses += 1.0
-        if self._epoch_accesses * self._scale > self._window:
-            # Exponential aging keeps the snapshot focused on roughly the
-            # last `window` monitored accesses.
-            self._bins *= 0.5
-            self._epoch_accesses *= 0.5
+        self._observe_lines([line_addr])
 
     def observe_block(
         self, addrs: np.ndarray, hashes: np.ndarray | None = None
@@ -170,12 +186,9 @@ class UMONMonitor:
 
         Equivalent, counter for counter and bit for bit, to calling
         :meth:`observe` once per address in order: the sampling filter
-        applies the same hash test (vectorized), reuse distances come
-        from one tracker run, and the bin/epoch accumulation replays the
-        per-access ``+= 1.0`` / halving sequence on local Python floats
-        (IEEE-754 identical to the numpy scalar ops) before writing back.
-        ``hashes`` optionally carries precomputed SplitMix64 hashes
-        aligned with ``addrs``.
+        applies the same hash test (vectorized) and both feed the same
+        stack walk. ``hashes`` optionally carries precomputed SplitMix64
+        hashes aligned with ``addrs``.
         """
         self.total_observed += int(addrs.shape[0])
         if self._sampling_mask:
@@ -183,32 +196,127 @@ class UMONMonitor:
                 hashes = mix64_array(addrs)
             keep = (hashes & np.uint64(self._sampling_mask)) == 0
             addrs = addrs[keep]
-            self.sampled_observed += int(addrs.shape[0])
             if not addrs.shape[0]:
                 return
-        else:
-            self.sampled_observed += int(addrs.shape[0])
-        distances = self._tracker.observe_run(addrs.tolist())
-        sizes = self._sizes
-        cold_bin = len(sizes)
-        shift = self._sampling_shift
+        self.sampled_observed += int(addrs.shape[0])
+        self._observe_lines(addrs.tolist())
+
+    def _observe_lines(self, lines: list[int]) -> None:
+        """Bin sampled accesses in order and age the window counters.
+
+        The counters are replayed as local Python floats with the
+        per-access ``+= 1.0`` / halving sequence (IEEE-754 identical to
+        the numpy scalar ops) and written back once.
+        """
+        last = self._last
+        slots = self._slots
+        bounds = self._bounds
+        deepest = len(self._sizes) - 1
+        cold_bin = deepest + 1
+        compact_at = self._compact_at
+        get_last = last.get
+        append = slots.append
+        clock = len(slots)
         scale = self._scale
         window = self._window
         bins = self._bins.tolist()
         epoch = self._epoch_accesses
-        find_bin = bisect.bisect_right
-        for distance in distances:
-            if distance < 0:
+        for line in lines:
+            if clock >= compact_at:
+                self._compact()
+                clock = len(slots)
+            previous = get_last(line)
+            last[line] = clock
+            append(line)
+            clock += 1
+            if previous is None:
                 bin_index = cold_bin
+                if bounds[deepest] < 0:
+                    self._warm_up()
+                else:
+                    # The new line pushes every boundary up one live
+                    # line; the line below the deepest is forgotten.
+                    gone = bounds[deepest]
+                    for j in range(cold_bin):
+                        t = bounds[j] + 1
+                        while slots[t] is None:
+                            t += 1
+                        bounds[j] = t
+                    del last[slots[gone]]
+                    slots[gone] = None
             else:
-                bin_index = find_bin(sizes, distance << shift)
+                slots[previous] = None
+                # Boundaries descend with j: those above the previous
+                # access (misses) and any sitting on it move up.
+                j = 0
+                t = bounds[0]
+                while t > previous:
+                    t += 1
+                    while slots[t] is None:
+                        t += 1
+                    bounds[j] = t
+                    j += 1
+                    t = bounds[j]
+                bin_index = j
+                while t == previous:
+                    t += 1
+                    while slots[t] is None:
+                        t += 1
+                    bounds[j] = t
+                    j += 1
+                    t = bounds[j]
             bins[bin_index] += 1.0
             epoch += 1.0
             if epoch * scale > window:
+                # Exponential aging keeps the snapshot focused on roughly
+                # the last `window` monitored accesses.
                 bins = [value * 0.5 for value in bins]
                 epoch *= 0.5
         self._bins[:] = bins
         self._epoch_accesses = epoch
+
+    def _warm_up(self) -> None:
+        """Place a cold line while the deepest boundary is still unset.
+
+        Nothing is forgotten yet: the set boundaries move up one live
+        line, and each boundary whose capacity the tracked lines now
+        reach starts at the oldest tracked line.
+        """
+        slots = self._slots
+        bounds = self._bounds
+        j = 0
+        while bounds[j] >= 0:
+            t = bounds[j] + 1
+            while slots[t] is None:
+                t += 1
+            bounds[j] = t
+            j += 1
+        capacities = self._capacities
+        tracked = len(self._last)
+        while j < len(capacities) and capacities[j] == tracked:
+            t = 0
+            while slots[t] is None:
+                t += 1
+            bounds[j] = t
+            j += 1
+
+    def _compact(self) -> None:
+        """Renumber the live lines densely, in order.
+
+        Bins depend only on the order of timestamps, so nothing a later
+        access sees changes. Runs at a fixed slot count, in warm-up too,
+        so the slot list stays a few times the deepest capacity.
+        """
+        slots = self._slots
+        bounds = self._bounds
+        marked = [slots[t] if t >= 0 else None for t in bounds[:-1]]
+        slots[:] = [line for line in slots if line is not None]
+        last = self._last
+        for t, line in enumerate(slots):
+            last[line] = t
+        for j, line in enumerate(marked):
+            if line is not None:
+                bounds[j] = last[line]
 
     def hits_per_size(self) -> np.ndarray:
         """Estimated hits at each candidate size over the current window.
@@ -230,13 +338,15 @@ class UMONMonitor:
         return self._epoch_accesses * self._scale
 
     def reset_window(self) -> None:
-        """Clear the windowed counters (the LRU stack state persists)."""
+        """Clear the windowed counters (the recency stack persists)."""
         self._bins[:] = 0.0
         self._epoch_accesses = 0.0
 
     def clear(self) -> None:
-        """Forget everything, including the stack state."""
+        """Forget everything, including the recency stack."""
         self.reset_window()
-        self._tracker.reset()
+        self._last.clear()
+        self._slots.clear()
+        self._bounds[:-1] = [-1] * len(self._sizes)
         self.total_observed = 0
         self.sampled_observed = 0

@@ -29,6 +29,7 @@ same order, and hands its collected monitor candidates to
 from __future__ import annotations
 
 import enum
+import time
 from typing import Protocol
 
 import numpy as np
@@ -90,6 +91,7 @@ class DomainMemory:
         "_llc_latency",
         "_dram_latency",
         "level_counts",
+        "monitor_seconds",
     )
 
     def __init__(
@@ -115,6 +117,10 @@ class DomainMemory:
         self._llc_latency = config.llc_latency
         self._dram_latency = config.dram_latency
         self.level_counts = {level: 0 for level in MemoryLevel}
+        #: Wall time spent in :meth:`feed_monitor`, one clock pair per
+        #: call (the reference kernel's per-access ``observe`` calls in
+        #: :meth:`access` are not timed).
+        self.monitor_seconds = 0.0
 
     @property
     def monitor_wants_hashes(self) -> bool:
@@ -167,14 +173,16 @@ class DomainMemory:
         their precomputed SplitMix64 hashes. Monitors with an
         ``observe_block`` take the run in one call, others per address.
         """
+        start = time.perf_counter()
         monitor = self.monitor
         observe_block = getattr(monitor, "observe_block", None)
         if observe_block is not None:
             observe_block(addrs, hashes)
-            return
-        observe = monitor.observe
-        for line_addr in addrs.tolist():
-            observe(line_addr)
+        else:
+            observe = monitor.observe
+            for line_addr in addrs.tolist():
+                observe(line_addr)
+        self.monitor_seconds += time.perf_counter() - start
 
     def reset_level_counts(self) -> None:
         """Zero the per-level service counters (used at warmup end)."""

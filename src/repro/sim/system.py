@@ -182,7 +182,8 @@ class MultiDomainSystem:
         Resizing-action counts come from the trace logs the scheme
         appends to; monitor observation counters come from whatever
         UMON-style monitors the scheme built (schemes without monitors
-        — Static, Shared — report zeros).
+        — Static, Shared — report zeros). ``monitor_s`` is the wall
+        time the batched kernel spent feeding the monitors.
         """
         monitors = [
             m for m in getattr(self.scheme, "monitors", []) or [] if m is not None
@@ -194,6 +195,7 @@ class MultiDomainSystem:
             "assessments": sum(s.assessments for s in self.stats),
             "monitor_observed": observed,
             "monitor_sampled": sampled,
+            "monitor_s": sum(memory.monitor_seconds for memory in self.memories),
         }
 
     def run(self, max_cycles: int = 50_000_000) -> SystemResult:

@@ -287,6 +287,31 @@ class TestGroupCommit:
             assert ("fsync", shard) in events[put_at:ack_at], events
 
 
+    def test_engine_closes_its_journal_after_each_run(
+        self, tmp_path, monkeypatch, no_linger
+    ):
+        """No journal handle or flusher outlives a run, and a second run
+        on the same engine still journals and group-commits."""
+        monkeypatch.setattr(journal_module, "DEFAULT_BATCH_ENTRIES", 2)
+        engine = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path))
+        journal = engine.journal
+        for run, cells in enumerate(
+            ([SleepCell(0.01), SleepCell(0.02), SleepCell(0.03)],
+             [SleepCell(0.04), SleepCell(0.05), SleepCell(0.06)]),
+            1,
+        ):
+            outcomes = engine.run(cells)
+            assert [o.status for o in outcomes] == ["computed"] * 3
+            assert journal._handle.closed
+            assert journal._flusher is None
+            # Per run: one full batch of two, then the teardown flush.
+            assert journal.flushes == 2 * run
+            assert journal.durable_seq == 3 * run
+        loaded = RunJournal(tmp_path / "journal.jsonl").load()
+        assert len(loaded) == 6
+        assert all(e.status == "computed" for e in loaded.values())
+
+
 def engine_at(tmp_path, **kwargs):
     """An engine whose cache, and so whose journal, is ``tmp_path``."""
     return ExecutionEngine(jobs=1, cache=ResultCache(tmp_path), **kwargs)

@@ -396,3 +396,9 @@ class TestSimulatorSpans:
         # Untangle builds UMON monitors; they observed real accesses.
         assert attrs["monitor_observed"] > 0
         assert attrs["monitor_sampled"] > 0
+        # The batched kernel times its per-call monitor feed; the
+        # reference kernel's per-access observes are not timed.
+        if attrs["kernel"] == "batched":
+            assert 0 < attrs["monitor_s"] < sim["dur"]
+        else:
+            assert attrs["monitor_s"] == 0

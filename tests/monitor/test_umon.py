@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.monitor.umon import UMONMonitor
+from repro.monitor.umon import _COMPACT_FACTOR, UMONMonitor, mix64_array
 from repro.sim.cache import SetAssociativeCache
+from tests.monitor.reuse_oracle import OracleMonitor
 
 SIZES = [4, 8, 16, 32]
 
@@ -177,10 +178,18 @@ def test_curve_never_exceeds_observed_accesses(seed):
 def _monitor_state(monitor):
     return (
         monitor.total_observed,
-        monitor.hits_per_size().tolist(),
+        monitor.sampled_observed,
+        monitor._bins.tolist(),
         monitor.epoch_accesses(),
-        monitor._tracker._clock,
-        dict(monitor._tracker._last_position),
+    )
+
+
+def _oracle_state(oracle):
+    return (
+        oracle.total_observed,
+        oracle.sampled_observed,
+        oracle.bins,
+        oracle.epoch * oracle.scale,
     )
 
 
@@ -199,8 +208,6 @@ class TestObserveBlock:
         precompute_hashes=st.booleans(),
     )
     def test_matches_observe_loop(self, shift, window, runs, precompute_hashes):
-        from repro.monitor.umon import mix64_array
-
         batched = UMONMonitor(SIZES, window=window, sampling_shift=shift)
         scalar = UMONMonitor(SIZES, window=window, sampling_shift=shift)
         for run in runs:
@@ -230,8 +237,100 @@ class TestObserveBlock:
 @given(addrs=st.lists(st.integers(0, 2**62), min_size=1, max_size=50))
 def test_mix64_array_matches_scalar_mix64(addrs):
     """The vectorized SplitMix64 equals the scalar per-address hash."""
-    from repro.monitor.umon import _mix64, mix64_array
+    from repro.monitor.umon import _mix64
 
     hashes = mix64_array(np.array(addrs, dtype=np.int64))
     assert hashes.dtype == np.uint64
     assert hashes.tolist() == [_mix64(a) for a in addrs]
+
+
+_SIZE_SETS = st.lists(
+    st.integers(1, 48), min_size=1, max_size=6, unique=True
+).map(sorted)
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.integers(0, 2**40)),
+        st.tuples(
+            st.just("block"), st.lists(st.integers(0, 2**40), max_size=120)
+        ),
+        st.tuples(st.just("reset_window")),
+        st.tuples(st.just("clear")),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class TestAgainstOracle:
+    """The recency stack bins exactly like exact reuse distances would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=_SIZE_SETS,
+        shift=st.sampled_from([0, 1, 3, 5]),
+        window=st.sampled_from([1, 3, 17, 10**9]),
+        universe=st.sampled_from([3, 8, 24, 60, 3000]),
+        ops=_OPS,
+    )
+    def test_differential(self, sizes, shift, window, universe, ops):
+        # Sizes up to 48 lines at shift 5 are capacities 1 and 2, so
+        # many drawn sets collide (16 and 32 lines are one sampled line).
+        monitor = UMONMonitor(sizes, window=window, sampling_shift=shift)
+        oracle = OracleMonitor(sizes, window, shift)
+        for op in ops:
+            if op[0] == "observe":
+                monitor.observe(op[1] % universe)
+                oracle.observe(op[1] % universe)
+            elif op[0] == "block":
+                addrs = [a % universe for a in op[1]]
+                monitor.observe_block(np.array(addrs, dtype=np.int64))
+                oracle.observe_block(addrs)
+            else:
+                getattr(monitor, op[0])()
+                getattr(oracle, op[0])()
+            assert _monitor_state(monitor) == _oracle_state(oracle)
+
+    def test_colliding_capacities(self):
+        """Sizes 16 and 32 at shift 5 share one sampled-line capacity."""
+        sizes = (16, 32, 64)
+        monitor = UMONMonitor(sizes, window=10**9, sampling_shift=5)
+        oracle = OracleMonitor(sizes, 10**9, 5)
+        addrs = np.random.default_rng(3).integers(0, 400, size=3000)
+        monitor.observe_block(addrs)
+        oracle.observe_block(addrs.tolist())
+        assert _monitor_state(monitor) == _oracle_state(oracle)
+        assert monitor._bins[0] > 0 and monitor._bins[1] == 0
+
+
+class TestBoundedState:
+    """The recency stack stays a few times the deepest capacity."""
+
+    SIZES = (16, 64, 256, 1024)
+
+    @pytest.mark.parametrize(
+        "lines", [5000, 300], ids=["large-working-set", "below-largest-cap"]
+    )
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_state_stays_bounded(self, lines, shift):
+        monitor = UMONMonitor(self.SIZES, window=700, sampling_shift=shift)
+        scalar = UMONMonitor(self.SIZES, window=700, sampling_shift=shift)
+        oracle = OracleMonitor(self.SIZES, 700, shift)
+        capacity = self.SIZES[-1] >> shift
+        rng = np.random.default_rng(lines + shift)
+        largest = 0
+        for _ in range(150):
+            run = rng.integers(0, lines, size=int(rng.integers(0, 400)))
+            monitor.observe_block(run)
+            for addr in run.tolist():
+                scalar.observe(addr)
+            oracle.observe_block(run.tolist())
+            assert _monitor_state(monitor) == _oracle_state(oracle)
+            assert _monitor_state(scalar) == _oracle_state(oracle)
+            largest = max(largest, len(monitor._slots))
+            # Lines past the deepest capacity are forgotten.
+            assert len(monitor._last) <= capacity
+        # Every observation adds a slot; renumbering (in warm-up too)
+        # caps the list however long the stream runs.
+        assert largest <= _COMPACT_FACTOR * capacity
+        assert monitor.sampled_observed > 2 * _COMPACT_FACTOR * capacity

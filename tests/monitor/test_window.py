@@ -1,4 +1,4 @@
-"""Tests for the Fenwick tree and reuse-distance tracker."""
+"""Tests for the Fenwick tree and reuse-distance tracker (the monitor oracle)."""
 
 import numpy as np
 import pytest
@@ -6,27 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.monitor.umon import UMONMonitor
-from repro.monitor.window import (
+from tests.monitor.reuse_oracle import (
     _COMPACT_FACTOR,
     _COMPACT_FLOOR,
     COLD_DISTANCE,
     FenwickTree,
     ReuseDistanceTracker,
+    naive_reuse_distances,
 )
-
-
-def naive_reuse_distances(addresses):
-    """Obviously-correct reference: distinct lines since last access."""
-    last_index = {}
-    out = []
-    for i, addr in enumerate(addresses):
-        if addr not in last_index:
-            out.append(COLD_DISTANCE)
-        else:
-            out.append(len(set(addresses[last_index[addr] + 1 : i])))
-        last_index[addr] = i
-    return out
 
 
 class TestFenwickTree:
@@ -191,7 +178,7 @@ def test_reuse_distance_predicts_fa_lru_hits(addresses, capacity):
 
 
 class TestCompaction:
-    """observe_run renumbers its markers; distances and bins never move."""
+    """The oracle's observe_run renumbers its markers; distances never move."""
 
     @staticmethod
     def _runs(seed, lines, total):
@@ -214,16 +201,3 @@ class TestCompaction:
         # stays a few times the working set.
         bound = 2 * _COMPACT_FACTOR * max(lines, _COMPACT_FLOOR)
         assert compacting._fenwick._size <= bound < plain._fenwick._size
-
-    @pytest.mark.parametrize("shift", [0, 1])
-    def test_monitor_bins_match_per_access_observes(self, shift):
-        sizes = (8, 32, 128, 512)
-        batched = UMONMonitor(sizes, window=700, sampling_shift=shift)
-        scalar = UMONMonitor(sizes, window=700, sampling_shift=shift)
-        for run in self._runs(7, 600, 30_000):
-            batched.observe_block(np.array(run, dtype=np.int64))
-            for addr in run:
-                scalar.observe(addr)
-            assert batched._bins.tolist() == scalar._bins.tolist()
-        assert batched.total_observed == scalar.total_observed
-        assert batched._tracker._clock < scalar._tracker._clock
